@@ -9,6 +9,7 @@ details leak into the output.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,8 @@ def parse_dataset(stream, format="mulan_svm"):
                 v = float(val_s)
             except ValueError:
                 _fail(line_no, f"bad feature token {tok!r}")
+            if not math.isfinite(v):
+                _fail(line_no, f"non-finite feature value {tok!r}")
             if not 0 <= j < d:
                 _fail(line_no, f"feature index {j} out of range [0, {d})")
             if j in seen:
@@ -198,6 +201,8 @@ def _read_matrix(lines, start, shape, what):
                 f"{what} row {r} has {len(parts)} values, expected {cols}"
             )
         out[r] = [float(p) for p in parts]
+        if not np.all(np.isfinite(out[r])):
+            raise ModelFormatError(f"line {start + r + 1}: non-finite value in {what} row {r}")
     return out, start + rows
 
 
@@ -238,6 +243,8 @@ def load_model(stream):
     if len(theta_line) != 2 or theta_line[0] != "theta":
         raise ModelFormatError("missing theta line")
     theta = None if theta_line[1] == "none" else float(theta_line[1])
+    if theta is not None and not math.isfinite(theta):
+        raise ModelFormatError(f"line 3: non-finite theta {theta_line[1]!r}")
     try:
         sizes = [int(v) for v in dims[1:]]
     except ValueError:

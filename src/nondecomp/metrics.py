@@ -62,17 +62,22 @@ class ConfusionAggregate:
 
 @dataclass(frozen=True)
 class GroupedConfusion:
-    """Per-group confusion aggregates; groups with no entries are dropped."""
+    """Per-group confusion fractions as parallel arrays.
 
-    aggregates: list
+    Slot g of tp/fp/fn/tn/count describes group ``group_ids[g]``; groups
+    with no entries are dropped, the rest kept in ascending group-id order.
+    """
+
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+    tn: np.ndarray
+    count: np.ndarray
     group_ids: np.ndarray
     empty_groups: int
 
     def __len__(self):
-        return len(self.aggregates)
-
-    def __iter__(self):
-        return iter(self.aggregates)
+        return len(self.count)
 
 
 @dataclass(frozen=True)
@@ -163,15 +168,6 @@ def _as_binary(arr, what):
     return a.astype(np.int8, copy=False)
 
 
-def _ratio_scalar(spec, tp, fp, fn, tn):
-    """One group's metric ratio, or None when the denominator is degenerate."""
-    num = spec.a0 + spec.a11 * tp + spec.a01 * fp + spec.a10 * fn + spec.a00 * tn
-    den = spec.b0 + spec.b11 * tp + spec.b01 * fp + spec.b10 * fn + spec.b00 * tn
-    if den < spec.denominator_floor:
-        return None
-    return num / den
-
-
 def _ratio_arrays(spec, tp, fp, fn, tn):
     """Vectorized per-group ratios; degenerate groups contribute 0."""
     num = spec.a0 + spec.a11 * tp + spec.a01 * fp + spec.a10 * fn + spec.a00 * tn
@@ -179,6 +175,18 @@ def _ratio_arrays(spec, tp, fp, fn, tn):
     ok = den >= spec.denominator_floor
     vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
     return vals, int(np.count_nonzero(~ok))
+
+
+def _fractions(tp, fp, fn, tn):
+    """Integer confusion counts to fractions of their total."""
+    total = tp + fp + fn + tn
+    return tp / total, fp / total, fn / total, tn / total
+
+
+def _mean_ratio(spec, tp, fp, fn, tn):
+    """Mean of the per-group ratios over the last axis (the groups)."""
+    vals, ndeg = _ratio_arrays(spec, tp, fp, fn, tn)
+    return vals.sum(axis=-1) / vals.shape[-1], ndeg
 
 
 def confusion_micro(yhat, y):
@@ -205,7 +213,7 @@ def confusion_grouped(yhat, y, group_index, n_groups=None):
     n_groups : optional total number of groups, used only to report how many
         groups had no observed entries.
 
-    Returns a GroupedConfusion with one aggregate per non-empty group, in
+    Returns a GroupedConfusion with one slot per non-empty group, in
     ascending group-id order.
     """
     yhat = _as_binary(yhat, "predictions")
@@ -217,51 +225,34 @@ def confusion_grouped(yhat, y, group_index, n_groups=None):
     ngrp = len(gids)
     true_pos = y == 1
     pred_pos = yhat == 1
-    cnt = np.bincount(inv, minlength=ngrp)
     tp = np.bincount(inv[pred_pos & true_pos], minlength=ngrp)
     fp = np.bincount(inv[pred_pos & ~true_pos], minlength=ngrp)
     fn = np.bincount(inv[~pred_pos & true_pos], minlength=ngrp)
     tn = np.bincount(inv[~pred_pos & ~true_pos], minlength=ngrp)
-    aggs = [
-        ConfusionAggregate.from_counts(int(tp[g]), int(fp[g]), int(fn[g]), int(tn[g]))
-        for g in range(ngrp)
-    ]
     empty = int(n_groups) - ngrp if n_groups is not None else 0
     if empty < 0:
         raise ValueError("n_groups smaller than the number of observed groups")
-    return GroupedConfusion(aggregates=aggs, group_ids=gids, empty_groups=empty)
-
-
-def _agg_list(conf):
-    if isinstance(conf, GroupedConfusion):
-        return conf.aggregates
-    if isinstance(conf, ConfusionAggregate):
-        raise ValueError("grouped metric modes need a list of per-group aggregates")
-    return list(conf)
+    return GroupedConfusion(
+        *_fractions(tp, fp, fn, tn), count=tp + fp + fn + tn,
+        group_ids=gids, empty_groups=empty,
+    )
 
 
 def eval_metric_info(spec, conf):
     """Evaluate a metric and report degenerate-denominator groups.
 
-    ``conf`` is a single ConfusionAggregate in micro mode, or a sequence of
-    per-group aggregates (or a GroupedConfusion) in instance/macro mode.
+    ``conf`` is a single ConfusionAggregate in micro mode, or a
+    GroupedConfusion in instance/macro mode.
     """
     if spec.mode == "micro":
         if not isinstance(conf, ConfusionAggregate):
             raise ValueError("micro mode takes a single ConfusionAggregate")
-        r = _ratio_scalar(spec, conf.tp, conf.fp, conf.fn, conf.tn)
-        if r is None:
-            return MetricEval(0.0, 1, 1)
-        return MetricEval(r, 0, 1)
-    aggs = _agg_list(conf)
-    if not aggs:
-        raise ValueError("no groups to average")
-    tp = np.array([a.tp for a in aggs])
-    fp = np.array([a.fp for a in aggs])
-    fn = np.array([a.fn for a in aggs])
-    tn = np.array([a.tn for a in aggs])
-    vals, ndeg = _ratio_arrays(spec, tp, fp, fn, tn)
-    return MetricEval(float(vals.sum() / len(aggs)), ndeg, len(aggs))
+        val, ndeg = _ratio_arrays(spec, *np.array([conf.tp, conf.fp, conf.fn, conf.tn]))
+        return MetricEval(float(val), ndeg, 1)
+    if not isinstance(conf, GroupedConfusion):
+        raise ValueError("grouped metric modes take a GroupedConfusion")
+    value, ndeg = _mean_ratio(spec, conf.tp, conf.fp, conf.fn, conf.tn)
+    return MetricEval(float(value), ndeg, len(conf))
 
 
 def eval_metric(spec, conf):
@@ -285,14 +276,20 @@ def threshold_sweep(z, y, spec, group_index=None):
 
     Candidates are the distinct observed scores (a candidate equal to a
     score marks that entry positive) plus one sentinel strictly above the
-    maximum, which yields the all-negative labeling. Confusion counts are
-    updated incrementally, so the sweep costs O(m log m) in micro mode and
-    O(m log m + G * candidates) in the grouped modes, for m observed
-    entries and G groups. Ties are broken toward the smallest threshold,
-    i.e. the most-positive labeling among the maximizers.
+    maximum, which yields the all-negative labeling. In micro mode,
+    cumulative counts over the distinct scores give the exact ratio at
+    every candidate. In the grouped modes, one sort of the entries by
+    (group, score), per-group cumulative counts and per-candidate sums of
+    the ratio changes give an approximate mean at every candidate; every
+    candidate within the rounding bound of the approximate maximum is then
+    recomputed exactly, with the arithmetic of ``eval_metric_info``, at
+    O(G log m) each for G groups (a run of candidates that changes no
+    group's ratio is recomputed once). Both cost O(m log m) for m observed
+    entries, plus the rechecks.
 
-    Returns a ThresholdResult whose ``value`` equals ``eval_metric`` of the
-    thresholded labeling exactly (same arithmetic on both paths).
+    The largest exact value wins; ties go to the smallest threshold, i.e.
+    the most-positive labeling among the maximizers. So ``value`` equals
+    ``eval_metric`` of the thresholded labeling exactly.
     """
     z = np.asarray(z, dtype=float)
     if z.size == 0:
@@ -311,80 +308,81 @@ def threshold_sweep(z, y, spec, group_index=None):
 
     vals_asc, inv = np.unique(z, return_inverse=True)
     n_distinct = len(vals_asc)
-    sentinel = float(vals_asc[-1]) + 1.0
-    true_pos = y == 1
-
     if spec.mode == "micro":
-        theta, best = _sweep_micro(spec, vals_asc, inv, true_pos, sentinel)
+        k, best = _sweep_micro(spec, inv, y == 1, n_distinct)
     else:
-        theta, best = _sweep_grouped(
-            spec, vals_asc, inv, true_pos, group_index, sentinel
-        )
+        ginv = np.unique(group_index, return_inverse=True)[1]
+        k, best = _sweep_grouped(spec, inv, y == 1, ginv, n_distinct)
+    theta = float(vals_asc[k]) if k < n_distinct else float(vals_asc[-1]) + 1.0
     return ThresholdResult(theta_hat=theta, value=best, candidates_evaluated=n_distinct + 1)
 
 
-def _sweep_micro(spec, vals_asc, inv, true_pos, sentinel):
-    total = int(inv.size)
-    n_pos = int(np.count_nonzero(true_pos))
-    n_neg = total - n_pos
-    pos_at = np.bincount(inv[true_pos], minlength=len(vals_asc))
-    neg_at = np.bincount(inv[~true_pos], minlength=len(vals_asc))
-
-    def value_at(tp, fp):
-        r = _ratio_scalar(
-            spec, tp / total, fp / total, (n_pos - tp) / total, (n_neg - fp) / total
-        )
-        return 0.0 if r is None else r
-
-    tp = 0
-    fp = 0
-    best_theta = sentinel
-    best = value_at(tp, fp)
-    for k in range(len(vals_asc) - 1, -1, -1):
-        tp += int(pos_at[k])
-        fp += int(neg_at[k])
-        v = value_at(tp, fp)
-        if v >= best:
-            best = v
-            best_theta = float(vals_asc[k])
-    return best_theta, best
+def _sweep_micro(spec, inv, true_pos, nd):
+    """Best candidate index k (entries with inv >= k are positive; k = nd is
+    the all-negative sentinel) and its exact ratio."""
+    tp = np.cumsum(np.bincount(inv[true_pos], minlength=nd + 1)[::-1])[::-1]
+    fp = np.cumsum(np.bincount(inv[~true_pos], minlength=nd + 1)[::-1])[::-1]
+    vals, _ = _ratio_arrays(spec, *_fractions(tp, fp, tp[0] - tp, fp[0] - fp))
+    k = int(np.argmax(vals))  # first maximum: the smallest threshold
+    return k, float(vals[k])
 
 
-def _sweep_grouped(spec, vals_asc, inv, true_pos, group_index, sentinel):
-    gids, ginv = np.unique(group_index, return_inverse=True)
-    ngrp = len(gids)
-    cnt = np.bincount(ginv, minlength=ngrp).astype(np.int64)
-    pos_g = np.bincount(ginv[true_pos], minlength=ngrp).astype(np.int64)
+def _sweep_grouped(spec, inv, true_pos, ginv, nd):
+    """As _sweep_micro, for the mean ratio over the groups of ginv."""
+    m = inv.size
+    ngrp = int(ginv.max()) + 1
+    # entries by (group, score descending): a group's entries at or above
+    # candidate k form a prefix of its segment, ending after key g*nd + nd-1-k
+    key = ginv.astype(np.int64) * nd + (nd - 1 - inv)
+    order = np.argsort(key)
+    key = key[order]
+    cpos = np.concatenate(([0], np.cumsum(true_pos[order])))
+    cnt = np.bincount(ginv, minlength=ngrp)
+    start = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+    npos = cpos[start + cnt] - cpos[start]
 
-    tp_c = np.zeros(ngrp, dtype=np.int64)
-    fp_c = np.zeros(ngrp, dtype=np.int64)
-    fn_c = pos_g.copy()
-    tn_c = cnt - pos_g
+    def counts_at(p, g):
+        """tp/fp/fn/tn of group g when its prefix ending before p is positive."""
+        tp = cpos[p] - cpos[start[g]]
+        fp = p - start[g] - tp
+        return tp, fp, npos[g] - tp, cnt[g] - npos[g] - fp
 
-    # entries ordered by score value so each candidate flips one contiguous slice
-    order = np.argsort(inv, kind="stable")
-    inv_sorted = inv[order]
-    starts = np.searchsorted(inv_sorted, np.arange(len(vals_asc)), side="left")
-    ends = np.searchsorted(inv_sorted, np.arange(len(vals_asc)), side="right")
-    entry_group = ginv[order]
-    entry_pos = true_pos[order]
+    r_init, _ = _ratio_arrays(spec, *_fractions(*counts_at(start, np.arange(ngrp))))
+    # one block per (group, candidate); its ratio after the flip and the change
+    # against the group's previous block
+    last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+    g_b = ginv[order[last]]
+    k_b = inv[order[last]]
+    r_after, _ = _ratio_arrays(spec, *_fractions(*counts_at(last + 1, g_b)))
+    same = np.append(False, g_b[1:] == g_b[:-1])
+    delta = r_after - np.where(same, np.roll(r_after, 1), r_init[g_b])
+    step = np.bincount(k_b, weights=delta, minlength=nd + 1)
+    approx = r_init.sum() + np.cumsum(step[::-1])[::-1]
 
-    def value_now():
-        vals, _ = _ratio_arrays(spec, tp_c / cnt, fp_c / cnt, fn_c / cnt, tn_c / cnt)
-        return float(vals.sum() / ngrp)
+    # |approx - exact sum| <= eps * B * (3m + G + 1) to first order, for
+    # B = G * max|ratio|: the <= 2m + nd + 1 roundings in delta, bincount and
+    # cumsum each err by at most (eps/2) * 2B, and each pairwise sum of G
+    # ratios (the base and the exact value) by (eps/2) * B * G. The true
+    # maximizer lies within twice the bound of the approximate maximum.
+    bound = ngrp * max(np.abs(r_after).max(), np.abs(r_init).max())
+    tol = 4.0 * np.finfo(float).eps * bound * (m + ngrp + 1)
+    near = np.flatnonzero(approx >= approx.max() - 2.0 * tol)
 
-    best_theta = sentinel
-    best = value_now()
-    for k in range(len(vals_asc) - 1, -1, -1):
-        sel = slice(starts[k], ends[k])
-        gsel = entry_group[sel]
-        psel = entry_pos[sel]
-        np.add.at(tp_c, gsel[psel], 1)
-        np.add.at(fp_c, gsel[~psel], 1)
-        np.subtract.at(fn_c, gsel[psel], 1)
-        np.subtract.at(tn_c, gsel[~psel], 1)
-        v = value_now()
-        if v >= best:
-            best = v
-            best_theta = float(vals_asc[k])
-    return best_theta, best
+    # a candidate that changes no group's ratio has its upper neighbour's
+    # exact value; recompute each run of such candidates once, at its top
+    changed = np.zeros(nd + 1, dtype=bool)
+    changed[k_b[delta != 0.0]] = True
+    changed[nd] = True
+    tops = np.flatnonzero(changed)
+    rep = tops[np.searchsorted(tops, near)]
+    uniq = np.unique(rep)
+
+    def exact(ks):
+        p = np.searchsorted(key, np.arange(ngrp) * nd + (nd - 1 - ks[:, None]), side="right")
+        return _mean_ratio(spec, *_fractions(*counts_at(p, np.arange(ngrp))))[0]
+
+    # chunks keep each (candidates x groups) work array near 2**18 entries
+    chunks = np.array_split(uniq, -(-uniq.size * ngrp // 2**18))
+    vals = np.concatenate([exact(ks) for ks in chunks])[np.searchsorted(uniq, rep)]
+    i = int(np.argmax(vals))  # first maximum: the smallest threshold
+    return int(near[i]), float(vals[i])

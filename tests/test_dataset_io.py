@@ -66,6 +66,11 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="line 2"):
             parse_dataset(io.StringIO("1 2 1\n0 0:abc\n"))
 
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf", "NaN"])
+    def test_nonfinite_feature_rejected(self, val):
+        with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
+            parse_dataset(io.StringIO(f"2 2 1\n0 0:1\n 1:{val}\n"))
+
 
 class TestWriteDataset:
     def test_round_trip_bytes(self):
@@ -155,6 +160,17 @@ class TestModelRoundTrip:
     def test_corrupted_header(self):
         with pytest.raises(ModelFormatError, match="header"):
             load_model(io.StringIO("something-else dense\ndims 2 2\ntheta none\n"))
+
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
+    def test_nonfinite_theta_rejected(self, val):
+        text = f"nondecomp-model dense\ndims 1 2\ntheta {val}\n1 2\n"
+        with pytest.raises(ModelFormatError, match="line 3: non-finite theta"):
+            load_model(io.StringIO(text))
+
+    def test_nonfinite_weight_rejected(self):
+        text = "nondecomp-model factored\ndims 2 1 1\ntheta 0.5\n1\n2\nnan\n"
+        with pytest.raises(ModelFormatError, match="line 6: non-finite value in W2"):
+            load_model(io.StringIO(text))
 
     def test_truncated(self):
         rng = np.random.default_rng(6)

@@ -317,6 +317,33 @@ class TestCli:
         )
         assert main(["fit", cfg]) == 1
 
+    def test_nonfinite_feature_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_text("3 2 2\n0 0:0.5 1:1.0\n1 0:-0.5\n0 0:0.25 1:nan\n")
+        cfg = self.write_config(
+            tmp_path,
+            f"data_path = {data}\nout_dir = {tmp_path}/out\nratio = 1.0\nsolver = plugin\n",
+        )
+        assert main(["fit", cfg]) == 2
+        assert "line 4: non-finite feature value '1:nan'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
+
+    @pytest.mark.parametrize("val", ["inf", "nan"])
+    def test_nonfinite_theta_exit_code(self, tmp_path, capsys, val):
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nsolver = plugin\n"
+        )
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        model = tmp_path / "out" / "model.txt"
+        lines = model.read_text().split("\n")
+        assert lines[2].startswith("theta ")
+        lines[2] = f"theta {val}"
+        model.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["eval", cfg]) == 2
+        assert f"line 3: non-finite theta '{val}'" in capsys.readouterr().err
+
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nondecomp.metrics import (
     METRIC_REGISTRY,
@@ -36,6 +38,22 @@ def brute_force_sweep(z, y, spec, group_index=None):
         if val > best_val or (val == best_val and theta < best_theta):
             best_val, best_theta = val, theta
     return best_theta, best_val
+
+
+@st.composite
+def heavy_tie_instances(draw):
+    """Scores on a coarse grid (0 or 1 decimals), few groups, and labels
+    that are often all positive or all negative."""
+    m = draw(st.integers(1, 24))
+    scale = draw(st.sampled_from([1.0, 10.0]))
+    z = np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))) / scale
+    kind = draw(st.sampled_from(["mixed", "all_negative", "all_positive"]))
+    if kind == "mixed":
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    else:
+        y = np.full(m, int(kind == "all_positive"))
+    groups = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    return z, y.astype(np.int8), groups
 
 
 class TestConfusionMicro:
@@ -97,8 +115,10 @@ class TestConfusionGrouped:
         grouped = confusion_grouped(yhat, y, np.zeros(4, dtype=int))
         micro = confusion_micro(yhat, y)
         assert len(grouped) == 1
-        agg = grouped.aggregates[0]
-        assert (agg.tp, agg.fp, agg.fn, agg.tn) == (micro.tp, micro.fp, micro.fn, micro.tn)
+        assert (grouped.tp[0], grouped.fp[0], grouped.fn[0], grouped.tn[0]) == (
+            micro.tp, micro.fp, micro.fn, micro.tn
+        )
+        assert grouped.count[0] == micro.count
 
     def test_two_rows_hand_check(self):
         # row 0 perfect, row 1 all wrong positives
@@ -106,9 +126,9 @@ class TestConfusionGrouped:
         y = np.array([1, 0, 0, 0])
         yhat = np.array([1, 0, 1, 1])
         grouped = confusion_grouped(yhat, y, rows)
-        a0, a1 = grouped.aggregates
-        assert a0.tp + a0.tn == 1.0
-        assert a1.fp + a1.fn == 1.0
+        assert len(grouped) == 2
+        assert grouped.tp[0] + grouped.tn[0] == 1.0
+        assert grouped.fp[1] + grouped.fn[1] == 1.0
 
     def test_empty_groups_reported(self):
         rows = np.array([0, 0, 3])
@@ -116,6 +136,7 @@ class TestConfusionGrouped:
         grouped = confusion_grouped(y, y, rows, n_groups=5)
         assert grouped.empty_groups == 3
         assert list(grouped.group_ids) == [0, 3]
+        assert list(grouped.count) == [2, 1]
 
 
 class TestEvalMetric:
@@ -234,6 +255,30 @@ class TestThresholdSweep:
             theta_bf, val_bf = brute_force_sweep(z, y, spec, group_index=rows)
             assert res.value == val_bf
             assert res.theta_hat == theta_bf
+
+    @pytest.mark.parametrize("name", sorted(METRIC_REGISTRY))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=heavy_tie_instances())
+    def test_matches_brute_force_heavy_ties(self, name, case):
+        z, y, groups = case
+        spec = get_metric(name)
+        gi = groups if spec.mode != "micro" else None
+        res = threshold_sweep(z, y, spec, group_index=gi)
+        theta_bf, val_bf = brute_force_sweep(z, y, spec, group_index=groups)
+        assert res.value == val_bf
+        assert res.theta_hat == theta_bf
+
+    def test_plateau_returns_smallest_maximizer(self):
+        # row 0 is ranked perfectly for -10 < theta <= 9; rows 1-5 hold no
+        # positives, so flipping their 50 negatives leaves every row's F1
+        # unchanged and all 51 candidates from 9 down to -5 tie exactly
+        plateau = np.linspace(-5.0, 5.0, 50)
+        z = np.concatenate(([10.0, 9.0, -10.0], plateau))
+        y = np.concatenate(([1, 1, 0], np.zeros(50, dtype=int)))
+        rows = np.concatenate(([0, 0, 0], 1 + np.arange(50) % 5))
+        res = threshold_sweep(z, y, INST_F1, group_index=rows)
+        theta_bf, val_bf = brute_force_sweep(z, y, INST_F1, group_index=rows)
+        assert (res.theta_hat, res.value) == (theta_bf, val_bf) == (-5.0, 1.0 / 6.0)
 
     def test_grouped_needs_group_index(self):
         with pytest.raises(ValueError, match="group_index"):
