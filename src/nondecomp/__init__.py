@@ -13,7 +13,6 @@ from .dataset_io import (
     ModelFormatError,
     PlotSeries,
     ResultRow,
-    ResultTable,
     SparseDataset,
     emit_plot,
     load_model,
@@ -52,7 +51,6 @@ from .losses import (
     PULossWrapper,
     SquaredLoss,
     get_loss,
-    logit,
     sigmoid,
 )
 from .metrics import (
@@ -72,14 +70,12 @@ from .metrics import (
 )
 from .sampler import (
     NOISE_MODELS,
-    OmegaDiagnostics,
     OmegaDistribution,
     PUSpec,
     SyntheticSpec,
     gen_features,
     gen_lowrank_W,
     generate_problem,
-    omega_diagnostics,
     pu_flip,
     sample_labels,
     sample_omega,

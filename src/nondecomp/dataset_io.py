@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .sampler import sample_omega
 __all__ = [
     "SparseDataset",
     "ResultRow",
-    "ResultTable",
     "PlotSeries",
     "DatasetFormatError",
     "ModelFormatError",
@@ -163,22 +162,17 @@ def write_dataset(dataset, stream):
             stream.write(label_field + "\n")
 
 
-def mask_observations(source, ratio, dist, seed):
-    """Observe round(ratio * n * L) entries of a label matrix or dataset.
+def mask_observations(Y, ratio, dist, seed):
+    """Observe round(ratio * n * L) entries of a full n x L label matrix.
 
-    ``source`` is a SparseDataset (labels absent from a row's set read as
-    0) or a full label matrix. Index pairs come from ``sample_omega``.
+    Index pairs come from ``sample_omega``.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
-    if isinstance(source, SparseDataset):
-        n, L = source.n, source.L
-        Y = source.label_matrix()
-    else:
-        Y = np.asarray(source)
-        if Y.ndim != 2:
-            raise ValueError("label source must be a matrix or SparseDataset")
-        n, L = Y.shape
+    Y = np.asarray(Y)
+    if Y.ndim != 2:
+        raise ValueError("labels must be a matrix")
+    n, L = Y.shape
     m = round(ratio * n * L)
     rows, cols = sample_omega(n, L, m, dist, seed)
     return ObservationSet(n, L, rows, cols, Y[rows, cols].astype(float))
@@ -195,14 +189,18 @@ def _read_matrix(lines, start, shape, what):
     for r in range(rows):
         if start + r >= len(lines):
             raise ModelFormatError(f"truncated stream while reading {what}")
+        line_no = start + r + 1
         parts = lines[start + r].split()
         if len(parts) != cols:
             raise ModelFormatError(
-                f"{what} row {r} has {len(parts)} values, expected {cols}"
+                f"line {line_no}: {what} row {r} has {len(parts)} values, expected {cols}"
             )
-        out[r] = [float(p) for p in parts]
+        try:
+            out[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ModelFormatError(f"line {line_no}: {what} row {r}: {exc}") from None
         if not np.all(np.isfinite(out[r])):
-            raise ModelFormatError(f"line {start + r + 1}: non-finite value in {what} row {r}")
+            raise ModelFormatError(f"line {line_no}: non-finite value in {what} row {r}")
     return out, start + rows
 
 
@@ -242,7 +240,10 @@ def load_model(stream):
         raise ModelFormatError("missing dims line")
     if len(theta_line) != 2 or theta_line[0] != "theta":
         raise ModelFormatError("missing theta line")
-    theta = None if theta_line[1] == "none" else float(theta_line[1])
+    try:
+        theta = None if theta_line[1] == "none" else float(theta_line[1])
+    except ValueError:
+        raise ModelFormatError(f"line 3: bad theta {theta_line[1]!r}") from None
     if theta is not None and not math.isfinite(theta):
         raise ModelFormatError(f"line 3: non-finite theta {theta_line[1]!r}")
     try:
@@ -278,22 +279,14 @@ class ResultRow:
             raise ValueError("stderr must be nonnegative")
 
 
-@dataclass
-class ResultTable:
-    rows: list = field(default_factory=list)
-
-    def add(self, *args, **kwargs):
-        self.rows.append(ResultRow(*args, **kwargs))
-
-
 def _result_fields(row):
     return (row.method, row.metric_name, row.split,
             repr(float(row.value)), repr(float(row.stderr)), row.config_hash)
 
 
-def write_results_csv(table, stream):
-    """Serialize a ResultTable with the fixed column order."""
-    rows = table.rows if isinstance(table, ResultTable) else list(table)
+def write_results_csv(rows, stream):
+    """Serialize ResultRows with the fixed column order."""
+    rows = list(rows)
     if not rows:
         raise ValueError("empty result table")
     writer = csv.writer(stream, lineterminator="\n")

@@ -64,6 +64,8 @@ class ObservationSet:
             raise ValueError("empty observation set")
         if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= L:
             raise ValueError("observation indices out of range")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("observation values must be finite")
         codes = rows * L + cols
         if len(np.unique(codes)) != len(codes):
             raise ValueError("duplicate (row, col) pairs in observation set")
@@ -73,19 +75,8 @@ class ObservationSet:
         self.cols = cols
         self.values = values
 
-    @classmethod
-    def from_entries(cls, n, L, entries):
-        entries = list(entries)
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] for e in entries]
-        return cls(n, L, rows, cols, vals)
-
     @property
     def size(self):
-        return self.rows.size
-
-    def __len__(self):
         return self.rows.size
 
 
@@ -121,10 +112,6 @@ class FactoredModel:
             raise ValueError("factors must share a positive inner dimension")
         if not (np.all(np.isfinite(self.W1)) and np.all(np.isfinite(self.W2))):
             raise ValueError("factor entries must be finite")
-
-    @property
-    def k(self):
-        return self.W1.shape[1]
 
     def dense(self):
         return self.W1 @ self.W2.T
@@ -202,13 +189,23 @@ def nuclear_norm(A):
     return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False).sum())
 
 
-def _check_shapes(X, obs, W):
+def _check_X(X, obs):
+    """X as a float matrix of finite features, one row per instance of obs."""
     X = np.asarray(X, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if X.ndim != 2 or W.ndim != 2:
-        raise ValueError("X and W must be matrices")
+    if X.ndim != 2:
+        raise ValueError("X must be a matrix")
     if X.shape[0] != obs.n:
         raise ValueError(f"X has {X.shape[0]} rows but observations expect {obs.n}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X entries must be finite")
+    return X
+
+
+def _check_shapes(X, obs, W):
+    X = _check_X(X, obs)
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2:
+        raise ValueError("W must be a matrix")
     if X.shape[1] != W.shape[0]:
         raise ValueError("inner dimensions of X and W do not match")
     if W.shape[1] != obs.L:
@@ -299,8 +296,8 @@ def fit_prox_grad(X, obs, config):
 
     Returns (DenseModel, FitReport); the objective trace is nonincreasing.
     """
-    dummy_W = np.zeros((np.asarray(X).shape[1], obs.L))
-    X, W = _check_shapes(X, obs, dummy_W)
+    X = _check_X(X, obs)
+    W = np.zeros((X.shape[1], obs.L))
     lam = _resolve_lambda(config, obs)
     loss = config.loss
     score_mode = config.regularizer_mode == "score_norm"
@@ -449,8 +446,7 @@ def fit_alt_min(X, obs, config, k):
     monotone, and the objective trace records the value after every
     half-step (two entries per outer iteration).
     """
-    dummy_W = np.zeros((np.asarray(X).shape[1], obs.L))
-    X, _ = _check_shapes(X, obs, dummy_W)
+    X = _check_X(X, obs)
     d = X.shape[1]
     if not 1 <= k <= min(d, obs.L):
         raise ValueError(f"rank k must lie in [1, min(d, L)] = [1, {min(d, obs.L)}]")
@@ -563,8 +559,8 @@ def fit_plugin_baseline(X, obs, ridge):
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    dummy_W = np.zeros((np.asarray(X).shape[1], obs.L))
-    X, W = _check_shapes(X, obs, dummy_W)
+    X = _check_X(X, obs)
+    W = np.zeros((X.shape[1], obs.L))
     loss = LogisticLoss()
     cols_idx = _by_column(obs)
     for j in range(obs.L):

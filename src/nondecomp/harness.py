@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, UsageError
+from .config import UsageError
 from .dataset_io import (
     PlotSeries,
     ResultRow,
-    ResultTable,
     SparseDataset,
     append_results_csv,
     emit_plot,
@@ -33,6 +32,7 @@ from .dataset_io import (
 )
 from .estimator import (
     DenseModel,
+    FactoredModel,
     ObservationSet,
     SolverConfig,
     fit_alt_min,
@@ -55,8 +55,11 @@ from .sampler import (
     OmegaDistribution,
     PUSpec,
     SyntheticSpec,
+    gen_features,
+    gen_lowrank_W,
     generate_problem,
     pu_flip,
+    sample_labels,
     sample_omega,
 )
 
@@ -98,37 +101,40 @@ def _parallel_map(fn, keys):
 
 @dataclass
 class Problem:
-    """A resolved learning problem: features, full labels, optional truth."""
+    """A resolved learning problem: features, full labels, and the ground
+    truth of a synthetic problem (None for a dataset)."""
 
     X: np.ndarray
     Y: np.ndarray
     W_star: np.ndarray | None
-    kind: str  # "synthetic" or "dataset"
 
 
 def _synthetic_spec(cfg, seed):
     cfg.require_synthetic()
-    cov = None
-    if cfg.feature_variance != 1.0:
-        cov = cfg.feature_variance * np.eye(cfg.d)
     return SyntheticSpec(
         n=cfg.n, L=cfg.L, d=cfg.d, rank=cfg.rank, seed=seed,
         noise_model=cfg.noise_model, theta_star=cfg.theta_star,
-        noise_sigma=cfg.noise_sigma, feature_covariance=cov,
+        noise_sigma=cfg.noise_sigma, feature_variance=cfg.feature_variance,
         wstar_scale=cfg.wstar_scale,
     )
 
 
+def _read_dataset(cfg, path):
+    """Dense features and labels of a dataset file."""
+    try:
+        with open(path) as fh:
+            ds = parse_dataset(fh, format=cfg.data_format)
+    except OSError as exc:
+        raise UsageError(f"cannot read dataset {path!r}: {exc}") from None
+    return ds.to_dense_X(), ds.label_matrix()
+
+
 def _load_problem(cfg, seed):
     if cfg.data_path is not None:
-        try:
-            with open(cfg.data_path) as fh:
-                ds = parse_dataset(fh, format=cfg.data_format)
-        except OSError as exc:
-            raise UsageError(f"cannot read dataset {cfg.data_path!r}: {exc}") from None
-        return Problem(X=ds.to_dense_X(), Y=ds.label_matrix(), W_star=None, kind="dataset")
+        X, Y = _read_dataset(cfg, cfg.data_path)
+        return Problem(X=X, Y=Y, W_star=None)
     X, W_star, Y = generate_problem(_synthetic_spec(cfg, seed))
-    return Problem(X=X, Y=Y, W_star=W_star, kind="synthetic")
+    return Problem(X=X, Y=Y, W_star=W_star)
 
 
 # test draws use a seed stream far away from the training seeds
@@ -138,8 +144,6 @@ _TEST_SEED_OFFSET = 7919
 def _fresh_test_split(cfg, W_star, seed):
     """Fresh instances from the same generator and ground truth; keeps the
     evaluation free of memorized training entries."""
-    from .sampler import gen_features, sample_labels
-
     spec = _synthetic_spec(cfg, seed + _TEST_SEED_OFFSET)
     X_t = gen_features(spec)
     Y_t = sample_labels(
@@ -154,18 +158,17 @@ def _binary_required(Y, what):
         raise UsageError(f"{what} needs binary labels; the gaussian noise model is real-valued")
 
 
-def _train_observations(cfg, prob, seed):
-    """Observed training entries plus the loss to fit them with."""
+def _train_observations(cfg, prob, seed, ratio):
+    """Observed training entries at the given mask ratio, plus the loss to
+    fit them with; the positive-unlabeled regime observes every entry."""
     base_loss = get_loss(cfg.loss)
     if cfg.pu_rho > 0.0:
         _binary_required(prob.Y, "positive-unlabeled flipping")
         flipped = pu_flip(prob.Y, PUSpec(cfg.pu_rho), seed)
-        n, L = flipped.shape
-        rows = np.repeat(np.arange(n), L)
-        cols = np.tile(np.arange(L), n)
-        obs = ObservationSet(n, L, rows, cols, flipped.ravel().astype(float))
+        rows, cols = _full_grid(*flipped.shape)
+        obs = ObservationSet(*flipped.shape, rows, cols, flipped.ravel().astype(float))
         return obs, PULossWrapper(base_loss, cfg.pu_rho)
-    obs = mask_observations(prob.Y, cfg.ratio, OmegaDistribution.uniform(), seed)
+    obs = mask_observations(prob.Y, ratio, OmegaDistribution.uniform(), seed)
     return obs, base_loss
 
 
@@ -188,7 +191,7 @@ def _solver_config(cfg, loss, seed, regularizer_mode=None):
 def _resolve_k(cfg, prob):
     if cfg.k is not None:
         return cfg.k
-    if prob.kind == "synthetic":
+    if prob.W_star is not None:
         return cfg.rank
     return max(1, round(0.4 * prob.Y.shape[1]))
 
@@ -205,23 +208,15 @@ def _fit_solver(cfg, prob, obs, loss, seed, solver=None):
     raise UsageError(f"unknown solver {solver!r}")
 
 
-def _sweep_group_index(spec, rows, cols):
-    if spec.mode == "micro":
-        return None
-    return rows if spec.mode == "instance" else cols
-
-
-def _confusion_for(spec, yhat, y, rows, cols):
-    if spec.mode == "micro":
-        return confusion_micro(yhat, y)
-    gi = rows if spec.mode == "instance" else cols
-    return confusion_grouped(yhat, y, gi)
+def _groups(spec, rows, cols):
+    """Group index of each entry for the metric's mode; None in micro mode."""
+    return {"micro": None, "instance": rows, "macro": cols}[spec.mode]
 
 
 def _tune_threshold(spec, z_obs, y_obs, rows, cols):
     """Sweep on the training entries; fall back to the all-negative
     sentinel when no thresholding achieves a positive metric value."""
-    result = threshold_sweep(z_obs, y_obs, spec, _sweep_group_index(spec, rows, cols))
+    result = threshold_sweep(z_obs, y_obs, spec, _groups(spec, rows, cols))
     theta = result.theta_hat
     degenerate = False
     if result.value == 0.0:
@@ -230,13 +225,62 @@ def _tune_threshold(spec, z_obs, y_obs, rows, cols):
     return theta, result, degenerate
 
 
-def _metric_value(spec, z_entries, y_entries, rows, cols, theta):
-    yhat = apply_threshold(z_entries, theta)
-    return eval_metric_info(spec, _confusion_for(spec, yhat, y_entries, rows, cols))
-
-
 def _full_grid(n, L):
     return np.repeat(np.arange(n), L), np.tile(np.arange(L), n)
+
+
+def _evaluate(cfg, model, X, Y, tuned):
+    """MetricEval of every entry of the label matrix Y, for each name in
+    ``tuned``, which maps a metric name to its (spec, threshold)."""
+    rows, cols = _full_grid(*Y.shape)
+    z = predict_scores(X, model, cfg.gamma_clip)[rows, cols]
+    y = Y[rows, cols]
+    infos = {}
+    for name, (spec, theta) in tuned.items():
+        yhat = apply_threshold(z, theta)
+        groups = _groups(spec, rows, cols)
+        conf = confusion_micro(yhat, y) if groups is None else confusion_grouped(yhat, y, groups)
+        infos[name] = eval_metric_info(spec, conf)
+    return infos
+
+
+def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
+    """One repeat of one method: fit it on the observed training entries,
+    tune every metric's threshold on those entries, and score the
+    evaluation entries. Returns the metric values by name."""
+    obs, loss = _train_observations(cfg, prob, seed, ratio)
+    if method == "plugin":
+        solver = "plugin"
+    else:
+        solver = cfg.solver if cfg.solver != "plugin" else "alt_min"
+    model, _ = _fit_solver(cfg, prob, obs, loss, seed, solver=solver)
+    z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
+    y_obs = obs.values.astype(np.int8)
+    tuned = {
+        name: (spec, _tune_threshold(spec, z_obs, y_obs, obs.rows, obs.cols)[0])
+        for name, spec in specs.items()
+    }
+    return {name: info.value for name, info in _evaluate(cfg, model, X_e, Y_e, tuned).items()}
+
+
+def _read_model(cfg, d, L):
+    """Load the configured model, which must map d features to L labels."""
+    path = _model_path(cfg)
+    try:
+        with open(path) as fh:
+            model = load_model(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read model {path!r}: {exc}") from None
+    if isinstance(model, FactoredModel):
+        dims = (model.W1.shape[0], model.W2.shape[0])
+    else:
+        dims = model.W.shape
+    if dims != (d, L):
+        raise UsageError(
+            f"model {path!r} has d = {dims[0]}, L = {dims[1]} "
+            f"but the data has d = {d}, L = {L}"
+        )
+    return model
 
 
 def _ensure_out_dir(cfg):
@@ -286,7 +330,7 @@ def cmd_fit(cfg):
     """Fit the configured solver and persist the model and objective trace."""
     _ensure_out_dir(cfg)
     prob = _load_problem(cfg, cfg.seed)
-    obs, loss = _train_observations(cfg, prob, cfg.seed)
+    obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
     path = _model_path(cfg)
     with open(path, "w") as fh:
@@ -314,23 +358,17 @@ def cmd_fit(cfg):
 
 def cmd_threshold(cfg):
     """Tune the decision threshold on the training observations."""
-    path = _model_path(cfg)
-    try:
-        with open(path) as fh:
-            model = load_model(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path!r}: {exc}") from None
     prob = _load_problem(cfg, cfg.seed)
-    obs, _ = _train_observations(cfg, prob, cfg.seed)
+    obs, _ = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     _binary_required(obs.values, "threshold tuning")
     spec = get_metric(cfg.metric)
-    Z = predict_scores(prob.X, model, cfg.gamma_clip)
-    z_obs = Z[obs.rows, obs.cols]
+    model = _read_model(cfg, prob.X.shape[1], prob.Y.shape[1])
+    z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
     theta, result, degenerate = _tune_threshold(
         spec, z_obs, obs.values.astype(np.int8), obs.rows, obs.cols
     )
     model.theta = theta
-    with open(path, "w") as fh:
+    with open(_model_path(cfg), "w") as fh:
         save_model(model, fh)
     note = " (degenerate sweep, all-negative fallback)" if degenerate else ""
     print(
@@ -340,47 +378,32 @@ def cmd_threshold(cfg):
     return {"theta": theta, "train_value": result.value, "degenerate": degenerate}
 
 
-def _eval_entries(cfg, prob, seed):
-    """Evaluation data: the test file when given, a fresh synthetic test
-    draw for generated problems, else the training matrix."""
-    if cfg.data_path is not None and cfg.test_path is not None:
-        try:
-            with open(cfg.test_path) as fh:
-                test = parse_dataset(fh, format=cfg.data_format)
-        except OSError as exc:
-            raise UsageError(f"cannot read dataset {cfg.test_path!r}: {exc}") from None
-        if test.d != prob.X.shape[1] or test.L != prob.Y.shape[1]:
-            raise UsageError("test dataset dimensions do not match the training data")
-        return test.to_dense_X(), test.label_matrix(), "test"
-    if prob.kind == "synthetic":
-        X_t, Y_t = _fresh_test_split(cfg, prob.W_star, seed)
-        return X_t, Y_t, "test"
-    return prob.X, prob.Y, "train"
+def _eval_data(cfg):
+    """Evaluation features, labels and split: the test file when a dataset
+    has one, a fresh synthetic test draw for generated problems, else the
+    training matrix. Only the data evaluated on is read or generated."""
+    if cfg.data_path is None:
+        W_star = gen_lowrank_W(_synthetic_spec(cfg, cfg.seed))
+        return (*_fresh_test_split(cfg, W_star, cfg.seed), "test")
+    if cfg.test_path is not None:
+        return (*_read_dataset(cfg, cfg.test_path), "test")
+    return (*_read_dataset(cfg, cfg.data_path), "train")
 
 
 def cmd_eval(cfg):
-    """Evaluate a thresholded model on the test entries; append result rows."""
+    """Evaluate a thresholded model on the evaluation entries; append result rows."""
     _ensure_out_dir(cfg)
-    path = _model_path(cfg)
-    try:
-        with open(path) as fh:
-            model = load_model(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path!r}: {exc}") from None
+    X_e, Y_e, split = _eval_data(cfg)
+    model = _read_model(cfg, X_e.shape[1], Y_e.shape[1])
     if model.theta is None:
         raise UsageError("model has no fitted threshold; run the threshold task first")
-    prob = _load_problem(cfg, cfg.seed)
-    X_e, Y_e, split = _eval_entries(cfg, prob, cfg.seed)
     _binary_required(Y_e, "evaluation")
-    rows, cols = _full_grid(*Y_e.shape)
-    Z = predict_scores(X_e, model, cfg.gamma_clip)
-    z_entries = Z[rows, cols]
-    y_entries = Y_e[rows, cols]
+    tuned = {name: (get_metric(name), model.theta) for name in cfg.metrics}
+    infos = _evaluate(cfg, model, X_e, Y_e, tuned)
     method = "plugin" if cfg.solver == "plugin" else "algorithm1"
     out_rows = []
     for name in cfg.metrics:
-        spec = get_metric(name)
-        info = _metric_value(spec, z_entries, y_entries, rows, cols, model.theta)
+        info = infos[name]
         out_rows.append(
             ResultRow(method, name, split, info.value, 0.0, cfg.config_hash())
         )
@@ -400,31 +423,19 @@ def cmd_convergence(cfg):
     for m in cfg.methods:
         if m not in ("algorithm1", "plugin"):
             raise UsageError(f"unknown method {m!r}; expected algorithm1 or plugin")
-    solver = cfg.solver if cfg.solver != "plugin" else "alt_min"
     specs = {name: get_metric(name) for name in cfg.metrics}
+
+    # one problem and one fresh test split per repeat, shared by every
+    # (method, ratio) trial of that repeat
+    problems = {}
+    for rep in range(cfg.repeats):
+        prob = _load_problem(cfg, cfg.seed + rep)
+        problems[rep] = (prob, *_fresh_test_split(cfg, prob.W_star, cfg.seed + rep))
 
     def run_one(key):
         method, ratio, rep = key
-        seed_r = cfg.seed + rep
-        spec_cfg = ExperimentConfig(**{**cfg.__dict__, "ratio": ratio})
-        prob = _load_problem(spec_cfg, seed_r)
-        obs, loss = _train_observations(spec_cfg, prob, seed_r)
-        fit_as = solver if method == "algorithm1" else "plugin"
-        model, _ = _fit_solver(spec_cfg, prob, obs, loss, seed_r, solver=fit_as)
-        Z = predict_scores(prob.X, model, cfg.gamma_clip)
-        z_obs = Z[obs.rows, obs.cols]
-        y_obs = obs.values.astype(np.int8)
-        X_t, Y_t = _fresh_test_split(cfg, prob.W_star, seed_r)
-        rows_t, cols_t = _full_grid(*Y_t.shape)
-        Z_t = predict_scores(X_t, model, cfg.gamma_clip)
-        z_test = Z_t[rows_t, cols_t]
-        y_test = Y_t[rows_t, cols_t]
-        values = {}
-        for name, spec in specs.items():
-            theta, _, _ = _tune_threshold(spec, z_obs, y_obs, obs.rows, obs.cols)
-            info = _metric_value(spec, z_test, y_test, rows_t, cols_t, theta)
-            values[name] = info.value
-        return values
+        prob, X_t, Y_t = problems[rep]
+        return _trial(cfg, prob, cfg.seed + rep, ratio, method, specs, X_t, Y_t)
 
     keys = [
         (method, ratio, rep)
@@ -473,29 +484,18 @@ def cmd_compare(cfg):
     if cfg.data_path is None:
         raise UsageError("compare needs data_path pointing at a dataset file")
     prob = _load_problem(cfg, cfg.seed)
-    X_e, Y_e, split = _eval_entries(cfg, prob, cfg.seed)
+    X_e, Y_e, split = prob.X, prob.Y, "train"
+    if cfg.test_path is not None:
+        X_e, Y_e = _read_dataset(cfg, cfg.test_path)
+        if X_e.shape[1] != prob.X.shape[1] or Y_e.shape[1] != prob.Y.shape[1]:
+            raise UsageError("test dataset dimensions do not match the training data")
+        split = "test"
     _binary_required(Y_e, "evaluation")
-    solver = cfg.solver if cfg.solver != "plugin" else "alt_min"
     specs = {name: get_metric(name) for name in cfg.metrics}
-    rows_f, cols_f = _full_grid(*Y_e.shape)
 
     def run_one(key):
         method, rep = key
-        seed_r = cfg.seed + rep
-        obs, loss = _train_observations(cfg, prob, seed_r)
-        fit_as = solver if method == "algorithm1" else "plugin"
-        model, _ = _fit_solver(cfg, prob, obs, loss, seed_r, solver=fit_as)
-        Z_train = predict_scores(prob.X, model, cfg.gamma_clip)
-        z_obs = Z_train[obs.rows, obs.cols]
-        y_obs = obs.values.astype(np.int8)
-        Z_e = predict_scores(X_e, model, cfg.gamma_clip)
-        z_entries = Z_e[rows_f, cols_f]
-        y_entries = Y_e[rows_f, cols_f]
-        values = {}
-        for name, spec in specs.items():
-            theta, _, _ = _tune_threshold(spec, z_obs, y_obs, obs.rows, obs.cols)
-            values[name] = _metric_value(spec, z_entries, y_entries, rows_f, cols_f, theta).value
-        return values
+        return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, method, specs, X_e, Y_e)
 
     methods = tuple(m for m in cfg.methods if m in ("algorithm1", "plugin"))
     if not methods:
@@ -504,20 +504,20 @@ def cmd_compare(cfg):
     outcomes = _parallel_map(run_one, keys)
 
     chash = cfg.config_hash()
-    table = ResultTable()
+    rows = []
     for method in sorted(methods):
         for name in cfg.metrics:
             mean, sd = _mean_sd([outcomes[(method, rep)][name] for rep in range(cfg.repeats)])
-            table.add(method, name, split, mean, sd, chash)
+            rows.append(ResultRow(method, name, split, mean, sd, chash))
     csv_path = os.path.join(cfg.out_dir, "compare.csv")
     with open(csv_path, "w") as fh:
-        write_results_csv(table, fh)
-    for row in table.rows:
+        write_results_csv(rows, fh)
+    for row in rows:
         print(
             f"compare: {row.method} {row.metric_name} [{row.split}] "
             f"= {row.value:.4f} +/- {row.stderr:.4f}"
         )
-    return table
+    return {"rows": rows, "csv_path": csv_path}
 
 
 @dataclass
@@ -550,10 +550,13 @@ def cmd_rate_check(cfg):
     if any(not 1 <= m <= total for m in grid):
         raise UsageError(f"omega grid must lie in [1, {total}]")
 
+    # one problem per repeat, shared by every (mode, omega) fit of that repeat
+    problems = {rep: _load_problem(cfg, cfg.seed + rep) for rep in range(cfg.repeats)}
+
     def run_one(key):
         mode, m, rep = key
         seed_r = cfg.seed + rep
-        prob = _load_problem(cfg, seed_r)
+        prob = problems[rep]
         rows, cols = sample_omega(cfg.n, cfg.L, m, OmegaDistribution.uniform(), seed_r)
         obs = ObservationSet(cfg.n, cfg.L, rows, cols, prob.Y[rows, cols].astype(float))
         sconf = _solver_config(cfg, get_loss(cfg.loss), seed_r, regularizer_mode=mode)

@@ -1,5 +1,5 @@
-"""Strongly proper composite losses, their link functions, and the
-positive-unlabeled correction wrapper.
+"""Strongly proper composite losses and the positive-unlabeled correction
+wrapper.
 
 Losses take labels y in {0, 1} and map them internally to the +/-1
 convention their margin formulas are written in; the Gaussian likelihood
@@ -21,7 +21,6 @@ __all__ = [
     "get_loss",
     "LOSS_NAMES",
     "sigmoid",
-    "logit",
 ]
 
 # exponential-loss derivatives are clamped so solvers cannot blow up
@@ -37,41 +36,19 @@ def sigmoid(t):
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def logit(p):
-    """Inverse of ``sigmoid`` on (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    return np.log(p) - np.log1p(-p)
-
-
 def _signed(y):
     """Map {0, 1} labels to {-1, +1}."""
     return 2.0 * np.asarray(y, dtype=float) - 1.0
 
 
-def _check_prob_open(alpha):
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0.0) & (a < 1.0)):
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    return a
-
-
 class ProperLoss:
-    """A strongly proper composite loss with link and inverse link.
+    """A strongly proper composite loss.
 
-    Subclasses provide the pointwise value and its score derivatives plus
-    the link pair: ``link`` maps a class probability to the score that
-    minimizes the conditional risk, ``inv_link`` maps scores back to
-    probabilities. Losses that double as an exponential-family negative
-    log-likelihood also expose the log-partition function and its
-    derivative (the model's mean function), used for sampling and for
-    likelihood-based fitting.
-
-    ``strong_properness_modulus`` is stored for documentation purposes
-    only and never enters any computation.
+    Subclasses provide the pointwise value and its first and second
+    derivatives in the score, which is all the solvers use.
     """
 
     name = "?"
-    strong_properness_modulus = float("nan")
 
     def value(self, t, y):
         raise NotImplementedError
@@ -84,18 +61,6 @@ class ProperLoss:
         """Second derivative of ``value`` in t (for Newton sub-solvers)."""
         raise NotImplementedError
 
-    def link(self, alpha):
-        raise NotImplementedError
-
-    def inv_link(self, t):
-        raise NotImplementedError
-
-    def log_partition(self, t):
-        raise ValueError(f"loss {self.name!r} has no exponential-family pairing")
-
-    def log_partition_grad(self, t):
-        raise ValueError(f"loss {self.name!r} has no exponential-family pairing")
-
     def __repr__(self):
         return f"{type(self).__name__}()"
 
@@ -104,7 +69,6 @@ class LogisticLoss(ProperLoss):
     """log(1 + exp(-y~ t)) with y~ = 2y - 1; the Bernoulli log-likelihood."""
 
     name = "logistic"
-    strong_properness_modulus = 4.0
 
     def value(self, t, y):
         return np.logaddexp(0.0, -_signed(y) * np.asarray(t, dtype=float))
@@ -117,24 +81,11 @@ class LogisticLoss(ProperLoss):
         s = sigmoid(t)
         return s * (1.0 - s) + 0.0 * _signed(y)
 
-    def link(self, alpha):
-        return logit(_check_prob_open(alpha))
-
-    def inv_link(self, t):
-        return sigmoid(t)
-
-    def log_partition(self, t):
-        return np.logaddexp(0.0, np.asarray(t, dtype=float))
-
-    def log_partition_grad(self, t):
-        return sigmoid(t)
-
 
 class SquaredLoss(ProperLoss):
     """Margin-form squared loss (1 - y~ t)^2 with y~ = 2y - 1."""
 
     name = "squared"
-    strong_properness_modulus = 2.0
 
     def value(self, t, y):
         ys = _signed(y)
@@ -148,27 +99,11 @@ class SquaredLoss(ProperLoss):
         ys = _signed(y)
         return 2.0 * ys * ys + 0.0 * np.asarray(t, dtype=float)
 
-    def link(self, alpha):
-        return 2.0 * _check_prob_open(alpha) - 1.0
-
-    def inv_link(self, t):
-        return np.clip((np.asarray(t, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-
-    # Gaussian pairing: on real-valued observations the margin form is a
-    # rescaled squared error, so it shares the quadratic log-partition.
-    def log_partition(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * t * t
-
-    def log_partition_grad(self, t):
-        return np.asarray(t, dtype=float)
-
 
 class ExponentialLoss(ProperLoss):
     """exp(-y~ t) with y~ = 2y - 1; gradients clamped to +/-1e6."""
 
     name = "exponential"
-    strong_properness_modulus = 4.0
 
     def value(self, t, y):
         m = -_signed(y) * np.asarray(t, dtype=float)
@@ -184,12 +119,6 @@ class ExponentialLoss(ProperLoss):
         h = ys * ys * np.exp(np.minimum(-ys * np.asarray(t, dtype=float), _EXP_CAP))
         return np.clip(h, 0.0, _GRAD_CLAMP)
 
-    def link(self, alpha):
-        return 0.5 * logit(_check_prob_open(alpha))
-
-    def inv_link(self, t):
-        return sigmoid(2.0 * np.asarray(t, dtype=float))
-
 
 class GaussianLoss(ProperLoss):
     """Squared-error likelihood 0.5 (t - y)^2 for real-valued observations.
@@ -200,7 +129,6 @@ class GaussianLoss(ProperLoss):
     """
 
     name = "gaussian"
-    strong_properness_modulus = 1.0
 
     def value(self, t, y):
         diff = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
@@ -211,19 +139,6 @@ class GaussianLoss(ProperLoss):
 
     def hess_t(self, t, y):
         return np.ones_like(np.asarray(t, dtype=float) + 0.0 * np.asarray(y, dtype=float))
-
-    def link(self, alpha):
-        return np.asarray(_check_prob_open(alpha), dtype=float) + 0.0
-
-    def inv_link(self, t):
-        return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-
-    def log_partition(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * t * t
-
-    def log_partition_grad(self, t):
-        return np.asarray(t, dtype=float)
 
 
 class PULossWrapper:
@@ -266,12 +181,6 @@ class PULossWrapper:
 
     def hess_t(self, t, y):
         return self._combine(self.base.hess_t, t, y)
-
-    def link(self, alpha):
-        return self.base.link(alpha)
-
-    def inv_link(self, t):
-        return self.base.inv_link(t)
 
     def __repr__(self):
         return f"PULossWrapper({self.base!r}, rho={self.rho})"

@@ -74,7 +74,6 @@ class GroupedConfusion:
     tn: np.ndarray
     count: np.ndarray
     group_ids: np.ndarray
-    empty_groups: int
 
     def __len__(self):
         return len(self.count)
@@ -204,17 +203,12 @@ def confusion_micro(yhat, y):
     return ConfusionAggregate.from_counts(tp, fp, fn, tn)
 
 
-def confusion_grouped(yhat, y, group_index, n_groups=None):
+def confusion_grouped(yhat, y, group_index):
     """Confusion fractions per group (rows for instance mode, columns for macro).
 
-    Parameters
-    ----------
-    group_index : array of the group id of each observed entry.
-    n_groups : optional total number of groups, used only to report how many
-        groups had no observed entries.
-
-    Returns a GroupedConfusion with one slot per non-empty group, in
-    ascending group-id order.
+    ``group_index`` holds the group id of each observed entry. Returns a
+    GroupedConfusion with one slot per non-empty group, in ascending
+    group-id order.
     """
     yhat = _as_binary(yhat, "predictions")
     y = _as_binary(y, "labels")
@@ -229,12 +223,8 @@ def confusion_grouped(yhat, y, group_index, n_groups=None):
     fp = np.bincount(inv[pred_pos & ~true_pos], minlength=ngrp)
     fn = np.bincount(inv[~pred_pos & true_pos], minlength=ngrp)
     tn = np.bincount(inv[~pred_pos & ~true_pos], minlength=ngrp)
-    empty = int(n_groups) - ngrp if n_groups is not None else 0
-    if empty < 0:
-        raise ValueError("n_groups smaller than the number of observed groups")
     return GroupedConfusion(
-        *_fractions(tp, fp, fn, tn), count=tp + fp + fn + tn,
-        group_ids=gids, empty_groups=empty,
+        *_fractions(tp, fp, fn, tn), count=tp + fp + fn + tn, group_ids=gids,
     )
 
 

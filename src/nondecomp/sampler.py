@@ -1,6 +1,6 @@
 """Seeded synthetic data generation: Gaussian features, low-rank ground
-truth, the three label observation models, index-set sampling, and
-positive-unlabeled flipping.
+truth, the three label observation models, uniform index-set sampling,
+and positive-unlabeled flipping.
 
 Each generator derives an independent random stream from (seed, stream id),
 so the pieces can be drawn in any order, or in parallel, and still
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from .losses import sigmoid
@@ -19,7 +21,6 @@ __all__ = [
     "SyntheticSpec",
     "OmegaDistribution",
     "PUSpec",
-    "OmegaDiagnostics",
     "NOISE_MODELS",
     "gen_features",
     "gen_lowrank_W",
@@ -27,7 +28,6 @@ __all__ = [
     "generate_problem",
     "sample_omega",
     "pu_flip",
-    "omega_diagnostics",
 ]
 
 NOISE_MODELS = ("noise_free_sign", "bernoulli_logistic", "gaussian")
@@ -52,7 +52,7 @@ class SyntheticSpec:
     noise_model: str = "noise_free_sign"
     theta_star: float = 0.0
     noise_sigma: float = 1.0
-    feature_covariance: np.ndarray | None = None
+    feature_variance: float = 1.0
     wstar_scale: float = 1.0
 
     def __post_init__(self):
@@ -64,45 +64,20 @@ class SyntheticSpec:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if self.feature_covariance is not None:
-            cov = np.asarray(self.feature_covariance, dtype=float)
-            if cov.shape != (self.d, self.d):
-                raise ValueError("feature covariance must be d x d")
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise ValueError("feature covariance must be SPD") from None
-            self.feature_covariance = cov
+        if not self.feature_variance > 0:
+            raise ValueError("feature_variance must be positive")
 
 
 @dataclass(frozen=True)
 class OmegaDistribution:
-    """Sampling distribution over (row, column) index pairs.
-
-    Either uniform, or a product of row and column weight vectors. Weights
-    are normalized to sum to 1; zero-mass entries are allowed so that the
-    diagnostics can flag them, but sampling requires the target count to
-    fit inside the support.
-    """
+    """Sampling distribution over (row, column) index pairs; uniform is the
+    one the pipeline and the paper's analysis use."""
 
     kind: str
-    row_weights: np.ndarray | None = None
-    col_weights: np.ndarray | None = None
 
     @classmethod
     def uniform(cls):
         return cls(kind="uniform")
-
-    @classmethod
-    def product(cls, row_weights, col_weights):
-        p = np.asarray(row_weights, dtype=float)
-        q = np.asarray(col_weights, dtype=float)
-        for w, name in ((p, "row"), (q, "col")):
-            if w.ndim != 1 or w.size == 0:
-                raise ValueError(f"{name} weights must be a nonempty vector")
-            if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
-                raise ValueError(f"{name} weights must be nonnegative with positive sum")
-        return cls(kind="product", row_weights=p / p.sum(), col_weights=q / q.sum())
 
 
 @dataclass(frozen=True)
@@ -116,28 +91,10 @@ class PUSpec:
             raise ValueError("rho must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class OmegaDiagnostics:
-    """Uniformity diagnostics of an index distribution.
-
-    mu bounds the smallest entry probability from below via
-    min prob >= 1 / (mu * n * L); nu bounds the heaviest row/column
-    marginal via max marginal <= nu / min(n, L).
-    """
-
-    mu: float
-    nu: float
-    has_zero_mass: bool
-
-
 def gen_features(spec):
-    """Rows drawn iid from a centered Gaussian with the given covariance."""
+    """Rows drawn iid from a centered isotropic Gaussian with the given variance."""
     rng = _rng(spec.seed, _FEATURES)
-    X = rng.standard_normal((spec.n, spec.d))
-    if spec.feature_covariance is None:
-        return X
-    chol = np.linalg.cholesky(np.asarray(spec.feature_covariance, dtype=float))
-    return X @ chol.T
+    return rng.standard_normal((spec.n, spec.d)) * math.sqrt(spec.feature_variance)
 
 
 def gen_lowrank_W(spec):
@@ -179,46 +136,21 @@ def generate_problem(spec):
 
 
 def sample_omega(n, L, m, dist, seed):
-    """Sample m distinct index pairs iid from ``dist`` with duplicate rejection.
+    """Sample m distinct index pairs uniformly without replacement.
 
-    Returns (rows, cols) sorted lexicographically. For the uniform
-    distribution, iid-with-rejection coincides with uniform sampling
-    without replacement, which is what is drawn.
+    Returns (rows, cols) sorted lexicographically. Uniform sampling without
+    replacement is iid uniform sampling with duplicates rejected.
     """
+    if dist.kind != "uniform":
+        raise ValueError(f"unknown distribution kind {dist.kind!r}")
     total = n * L
     if not 1 <= m <= total:
         raise ValueError(f"need 1 <= m <= n*L, got m={m} for {n}x{L}")
     rng = _rng(seed, _OMEGA)
-    if dist.kind == "uniform":
-        if m == total:
-            codes = np.arange(total, dtype=np.int64)
-        else:
-            codes = np.sort(rng.choice(total, size=m, replace=False).astype(np.int64))
-    elif dist.kind == "product":
-        if dist.row_weights.size != n or dist.col_weights.size != L:
-            raise ValueError("product weights do not match the matrix dimensions")
-        support = int(np.count_nonzero(dist.row_weights)) * int(
-            np.count_nonzero(dist.col_weights)
-        )
-        if m > support:
-            raise ValueError("m exceeds the support of the index distribution")
-        seen = {}
-        batches = 0
-        while len(seen) < m:
-            batch = max(4 * (m - len(seen)), 256)
-            ii = rng.choice(n, size=batch, p=dist.row_weights)
-            jj = rng.choice(L, size=batch, p=dist.col_weights)
-            for code in (ii.astype(np.int64) * L + jj).tolist():
-                if code not in seen:
-                    seen[code] = None
-                    if len(seen) == m:
-                        break
-            batches += 1
-            if batches > 10000:
-                raise RuntimeError("rejection sampling failed to reach m distinct pairs")
-        codes = np.sort(np.fromiter(seen.keys(), dtype=np.int64, count=m))
+    if m == total:
+        codes = np.arange(total, dtype=np.int64)
     else:
-        raise ValueError(f"unknown distribution kind {dist.kind!r}")
+        codes = np.sort(rng.choice(total, size=m, replace=False).astype(np.int64))
     return codes // L, codes % L
 
 
@@ -233,22 +165,3 @@ def pu_flip(Y, pu, seed):
     out[flips] = 0
     return out
 
-
-def omega_diagnostics(dist, n, L):
-    """Compute the (mu, nu) uniformity diagnostics of an index distribution."""
-    if dist.kind == "uniform":
-        p_min = 1.0 / (n * L)
-        row_max = 1.0 / n
-        col_max = 1.0 / L
-    elif dist.kind == "product":
-        if dist.row_weights.size != n or dist.col_weights.size != L:
-            raise ValueError("product weights do not match the matrix dimensions")
-        p_min = float(dist.row_weights.min() * dist.col_weights.min())
-        row_max = float(dist.row_weights.max())
-        col_max = float(dist.col_weights.max())
-    else:
-        raise ValueError(f"unknown distribution kind {dist.kind!r}")
-    zero_mass = p_min == 0.0
-    mu = float("inf") if zero_mass else 1.0 / (n * L * p_min)
-    nu = min(n, L) * max(row_max, col_max)
-    return OmegaDiagnostics(mu=mu, nu=nu, has_zero_mass=zero_mass)

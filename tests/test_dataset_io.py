@@ -2,13 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nondecomp.dataset_io import (
     DatasetFormatError,
     ModelFormatError,
     PlotSeries,
     ResultRow,
-    ResultTable,
+    SparseDataset,
     emit_plot,
     load_model,
     mask_observations,
@@ -88,8 +90,6 @@ class TestWriteDataset:
             idx = sorted(rng.choice(d, size=rng.integers(0, d + 1), replace=False).tolist())
             features.append([(j, float(np.round(rng.normal(), 6))) for j in idx])
             labels.append(set(rng.choice(L, size=rng.integers(0, L + 1), replace=False).tolist()))
-        from nondecomp.dataset_io import SparseDataset
-
         ds = SparseDataset(n=n, d=d, L=L, features=features, labels=labels)
         buf = io.StringIO()
         write_dataset(ds, buf)
@@ -117,9 +117,8 @@ class TestMaskObservations:
 
     def test_dataset_source_absent_labels_are_zero(self):
         ds = parse_dataset(io.StringIO(SAMPLE))
-        obs = mask_observations(ds, 1.0, OmegaDistribution.uniform(), seed=2)
-        Y = ds.label_matrix()
-        np.testing.assert_array_equal(obs.values.reshape(2, 2), Y.astype(float))
+        obs = mask_observations(ds.label_matrix(), 1.0, OmegaDistribution.uniform(), seed=2)
+        np.testing.assert_array_equal(obs.values.reshape(2, 2), [[1.0, 0.0], [0.0, 1.0]])
 
     def test_seed_reproducible(self):
         Y = np.random.default_rng(3).integers(0, 2, size=(20, 20))
@@ -172,6 +171,16 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match="line 6: non-finite value in W2"):
             load_model(io.StringIO(text))
 
+    @pytest.mark.parametrize("body, message", [
+        ("theta abc\n1 2\n", "line 3: bad theta 'abc'"),
+        ("theta 0.5\n1 2\n3 x\n", "line 5: W row 1: could not convert string to float: 'x'"),
+        ("theta 0.5\n1 2\n3\n", "line 5: W row 1 has 1 values, expected 2"),
+    ])
+    def test_format_error_names_line(self, body, message):
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO("nondecomp-model dense\ndims 2 2\n" + body))
+        assert str(err.value) == message
+
     def test_truncated(self):
         rng = np.random.default_rng(6)
         buf = io.StringIO()
@@ -183,10 +192,9 @@ class TestModelRoundTrip:
 
 class TestResultsCsv:
     def test_single_row(self):
-        table = ResultTable()
-        table.add("algorithm1", "micro_f1", "test", 0.5, 0.01, "abc123")
+        rows = [ResultRow("algorithm1", "micro_f1", "test", 0.5, 0.01, "abc123")]
         buf = io.StringIO()
-        write_results_csv(table, buf)
+        write_results_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
         assert len(lines) == 2
         assert lines[0] == "method,metric_name,split,value,stderr,config_hash"
@@ -194,17 +202,15 @@ class TestResultsCsv:
     def test_values_round_trip(self):
         import csv
 
-        table = ResultTable()
         value = 0.123456789012345678
-        table.add("m", "f1", "train", value, 0.0, "h")
         buf = io.StringIO()
-        write_results_csv(table, buf)
+        write_results_csv([ResultRow("m", "f1", "train", value, 0.0, "h")], buf)
         row = list(csv.DictReader(io.StringIO(buf.getvalue())))[0]
         assert abs(float(row["value"]) - value) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            write_results_csv(ResultTable(), io.StringIO())
+            write_results_csv([], io.StringIO())
 
     def test_row_validation(self):
         with pytest.raises(ValueError):
@@ -244,3 +250,72 @@ class TestEmitPlot:
         buf = io.StringIO()
         emit_plot([PlotSeries("flat", (0.1, 0.2), (0.5, 0.5))], buf)
         assert "<polyline" in buf.getvalue()
+
+
+# floats whose text form is easy to get wrong: subnormals, the extremes, -0.0
+EXTREME_FLOATS = (5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, -0.0, 0.1)
+floats = st.one_of(
+    st.sampled_from(EXTREME_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def bits(values):
+    """Exact bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def datasets(draw):
+    n, d, L = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    features, labels = [], []
+    for _ in range(n):
+        idx = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        features.append(sorted((j, draw(floats)) for j in idx))
+        labels.append(set(draw(st.lists(st.integers(0, L - 1), unique=True, max_size=L))))
+    return SparseDataset(n=n, d=d, L=L, features=features, labels=labels)
+
+
+@st.composite
+def models(draw):
+    d, L, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    theta = draw(st.one_of(st.none(), floats))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(floats, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=float).reshape(rows, cols)
+
+    if draw(st.booleans()):
+        return DenseModel(W=matrix(d, L), theta=theta)
+    return FactoredModel(W1=matrix(d, k), W2=matrix(L, k), theta=theta)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ds=datasets())
+    def test_dataset_round_trip(self, ds):
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        back = parse_dataset(io.StringIO(buf.getvalue()))
+        assert (back.n, back.d, back.L) == (ds.n, ds.d, ds.L)
+        assert back.labels == ds.labels
+        assert [[j for j, _ in row] for row in back.features] == [
+            [j for j, _ in row] for row in ds.features
+        ]
+        for got, want in zip(back.features, ds.features):
+            assert bits([v for _, v in got]) == bits([v for _, v in want])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(model=models())
+    def test_model_round_trip(self, model):
+        buf = io.StringIO()
+        save_model(model, buf)
+        back = load_model(io.StringIO(buf.getvalue()))
+        assert type(back) is type(model)
+        if model.theta is None:
+            assert back.theta is None
+        else:
+            assert bits([back.theta]) == bits([model.theta])
+        for name in ("W",) if isinstance(model, DenseModel) else ("W1", "W2"):
+            assert getattr(back, name).shape == getattr(model, name).shape
+            assert bits(getattr(back, name)) == bits(getattr(model, name))

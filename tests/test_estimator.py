@@ -48,10 +48,25 @@ class TestObservationSet:
         with pytest.raises(ValueError, match="empty"):
             ObservationSet(2, 2, [], [], [])
 
-    def test_from_entries(self):
-        obs = ObservationSet.from_entries(3, 2, [(0, 0, 1.0), (2, 1, 0.0)])
-        assert obs.size == 2
-        assert obs.rows.tolist() == [0, 2]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(2, 2, [0, 1], [0, 1], [1.0, bad])
+
+
+class TestNonfiniteFeatures:
+    FITS = {
+        "prox_grad": lambda X, obs: fit_prox_grad(X, obs, SolverConfig(lambda_reg=0.1)),
+        "alt_min": lambda X, obs: fit_alt_min(X, obs, SolverConfig(lambda_reg=0.1), k=1),
+        "plugin": lambda X, obs: fit_plugin_baseline(X, obs, ridge=1e-3),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(FITS))
+    def test_fit_rejects_nonfinite_X(self, solver):
+        X, obs = random_instance(np.random.default_rng(12), 6, 3, 4)
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match="X entries must be finite"):
+            self.FITS[solver](X, obs)
 
 
 class TestObjective:

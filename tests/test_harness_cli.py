@@ -5,7 +5,13 @@ import pytest
 
 from nondecomp.cli import main
 from nondecomp.config import ExperimentConfig, UsageError, parse_config_text
-from nondecomp.dataset_io import load_model, parse_dataset, save_model
+from nondecomp.dataset_io import (
+    SparseDataset,
+    load_model,
+    parse_dataset,
+    save_model,
+    write_dataset,
+)
 from nondecomp.estimator import DenseModel
 from nondecomp.harness import (
     cmd_compare,
@@ -123,7 +129,7 @@ class TestFitThresholdEval:
 
         cfg_t = small_cfg("threshold", tmp_path, theta_star=1e9)
         prob = _load_problem(cfg_t, cfg_t.seed)
-        obs, _ = _train_observations(cfg_t, prob, cfg_t.seed)
+        obs, _ = _train_observations(cfg_t, prob, cfg_t.seed, cfg_t.ratio)
         z = predict_scores(prob.X, model)[obs.rows, obs.cols]
         assert model.theta > z.max()
 
@@ -162,13 +168,15 @@ class TestSynthCompare:
             data_path=paths["data_path"], repeats=2, ratio=0.5,
             k=2, max_iters=40,
         )
-        table = cmd_compare(cmp_cfg)
-        assert len(table.rows) == 4  # 2 methods x 2 metrics
-        methods = {r.method for r in table.rows}
+        out = cmd_compare(cmp_cfg)
+        rows = out["rows"]
+        assert len(rows) == 4  # 2 methods x 2 metrics
+        methods = {r.method for r in rows}
         assert methods == {"algorithm1", "plugin"}
-        assert all(0.0 <= r.value <= 1.0 for r in table.rows)
-        assert all(r.stderr >= 0.0 for r in table.rows)
-        assert os.path.exists(tmp_path / "cmp" / "compare.csv")
+        assert all(0.0 <= r.value <= 1.0 for r in rows)
+        assert all(r.stderr >= 0.0 for r in rows)
+        assert out["csv_path"] == str(tmp_path / "cmp" / "compare.csv")
+        assert os.path.exists(out["csv_path"])
 
     def test_compare_requires_dataset(self, tmp_path):
         with pytest.raises(UsageError, match="data_path"):
@@ -180,8 +188,8 @@ class TestSynthCompare:
             "compare", tmp_path / "c",
             data_path=paths["data_path"], repeats=1, k=None, max_iters=20,
         )
-        table = cmd_compare(cfg)  # k falls back to round(0.4 * L) = 4, capped by d
-        assert len(table.rows) == 4
+        out = cmd_compare(cfg)  # k falls back to round(0.4 * L) = 4, capped by d
+        assert len(out["rows"]) == 4
 
 
 class TestConvergence:
@@ -343,6 +351,48 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", cfg]) == 2
         assert f"line 3: non-finite theta '{val}'" in capsys.readouterr().err
+
+    def write_dataset_file(self, tmp_path, name, n, d, L):
+        rng = np.random.default_rng(n * 100 + d * 10 + L)
+        ds = SparseDataset(
+            n=n, d=d, L=L,
+            features=[list(enumerate(rng.normal(size=d).tolist())) for _ in range(n)],
+            labels=[set(np.flatnonzero(rng.random(L) < 0.3).tolist()) for _ in range(n)],
+        )
+        path = tmp_path / name
+        with open(path, "w") as fh:
+            write_dataset(ds, fh)
+        return str(path)
+
+    def test_model_data_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        train = self.write_dataset_file(tmp_path, "l20.txt", 40, 5, 20)
+        wide = self.write_dataset_file(tmp_path, "l30.txt", 40, 5, 30)
+        cfg = self.write_config(
+            tmp_path, f"data_path = {train}\nout_dir = {tmp_path}/out\nsolver = plugin\n"
+            "ratio = 0.5\nmetrics = micro_f1\n",
+        )
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        for task in ("threshold", "eval"):
+            capsys.readouterr()
+            assert main([task, cfg, f"--data_path={wide}"]) == 2
+            err = capsys.readouterr().err
+            assert "d = 5, L = 20" in err and "d = 5, L = 30" in err
+
+    def test_eval_test_path_feature_mismatch_exit_code(self, tmp_path, capsys):
+        train = self.write_dataset_file(tmp_path, "d5.txt", 40, 5, 20)
+        test = self.write_dataset_file(tmp_path, "d7.txt", 30, 7, 20)
+        cfg = self.write_config(
+            tmp_path, f"data_path = {train}\nout_dir = {tmp_path}/out\nsolver = plugin\n"
+            "ratio = 0.5\nmetrics = micro_f1\n",
+        )
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        assert main(["eval", cfg]) == 0
+        capsys.readouterr()
+        assert main(["eval", cfg, f"--test_path={test}"]) == 2
+        err = capsys.readouterr().err
+        assert "d = 5, L = 20" in err and "d = 7, L = 20" in err
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0

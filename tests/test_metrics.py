@@ -131,10 +131,11 @@ class TestConfusionGrouped:
         assert grouped.fp[1] + grouped.fn[1] == 1.0
 
     def test_empty_groups_reported(self):
+        # groups with no observed entries get no slot; group_ids names the rest
         rows = np.array([0, 0, 3])
         y = np.array([1, 0, 1])
-        grouped = confusion_grouped(y, y, rows, n_groups=5)
-        assert grouped.empty_groups == 3
+        grouped = confusion_grouped(y, y, rows)
+        assert len(grouped) == 2
         assert list(grouped.group_ids) == [0, 3]
         assert list(grouped.count) == [2, 1]
 
