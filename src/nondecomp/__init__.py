@@ -55,8 +55,7 @@ from .losses import (
 )
 from .metrics import (
     METRIC_REGISTRY,
-    ConfusionAggregate,
-    GroupedConfusion,
+    Confusion,
     MetricEval,
     MetricSpec,
     ThresholdResult,

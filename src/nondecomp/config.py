@@ -43,15 +43,6 @@ def _opt(parser):
     return convert
 
 
-def _bool(text):
-    low = text.lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _list_of(parser):
     def convert(text):
         if text == "" or text.lower() == "none":
@@ -193,6 +184,8 @@ class ExperimentConfig:
             raise UsageError("solver must be alt_min, prox_grad, or plugin")
         if self.feature_variance <= 0:
             raise UsageError("feature_variance must be positive")
+        if self.gamma_clip is not None and not self.gamma_clip > 0:
+            raise UsageError("gamma_clip must be positive")
 
     def require_synthetic(self):
         missing = [name for name in ("n", "L", "d", "rank") if getattr(self, name) is None]

@@ -122,15 +122,13 @@ class SolverConfig:
     """Knobs shared by the solvers.
 
     ``lambda_reg=None`` resolves to the sample-size default
-    2 * lambda_c / sqrt(m) for m observed entries. ``gamma_clip`` bounds
-    predicted scores after the fit; the fit itself is unconstrained.
+    2 * lambda_c / sqrt(m) for m observed entries.
     """
 
     loss: object = field(default_factory=LogisticLoss)
     lambda_reg: float | None = None
     lambda_c: float = 1.0
     regularizer_mode: str = "param_norm"
-    gamma_clip: float | None = None
     max_iters: int = 300
     rel_tol: float = 1e-6
     step_init: float = 1.0
@@ -151,8 +149,6 @@ class SolverConfig:
             raise ValueError("step_growth must be >= 1")
         if self.regularizer_mode not in ("param_norm", "score_norm"):
             raise ValueError("regularizer_mode must be param_norm or score_norm")
-        if self.gamma_clip is not None and not self.gamma_clip > 0:
-            raise ValueError("gamma_clip must be positive")
 
 
 @dataclass
@@ -390,49 +386,63 @@ def _cg_solve(matvec, B, tol=1e-10, max_iter=40):
     return S
 
 
-def _damped_newton(A, yv, loss, reg, loss_scale, w0, max_iter=50, tol=1e-10):
-    """Minimize loss_scale * sum(loss(A w, y)) + reg/2 * ||w||^2 over w."""
-    w = np.asarray(w0, dtype=float).copy()
-    dim = A.shape[1]
-    eye = np.eye(dim)
+def _damped_newton(fval, linearize, w, f, max_iter, gtol):
+    """Minimize fval from w, where f = fval(w), by damped Newton steps.
 
-    def fval(wv):
-        t = A @ wv
-        return loss_scale * float(np.sum(loss.value(t, yv))) + 0.5 * reg * float(wv @ wv)
-
-    f = fval(w)
+    ``linearize(w)`` returns the gradient g at w and a function mapping g
+    to the Newton direction, so curvature is only formed once the gradient
+    test has not already stopped the loop. Each step backtracks by halving
+    until the Armijo condition holds. Returns the final (w, fval(w)).
+    """
     for _ in range(max_iter):
-        t = A @ w
-        g = loss_scale * (A.T @ np.asarray(loss.grad_t(t, yv), dtype=float)) + reg * w
-        if float(np.linalg.norm(g)) < tol:
+        g, newton_direction = linearize(w)
+        if np.linalg.norm(g) < gtol:
             break
-        h = np.asarray(loss.hess_t(t, yv), dtype=float)
-        H = loss_scale * ((A * h[:, None]).T @ A) + (reg + 1e-12) * eye
-        try:
-            direction = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            direction = g
-        slope = float(g @ direction)
+        direction = newton_direction(g)
+        slope = float(np.vdot(g, direction))
         if slope <= 0.0:
             # PU-corrected losses can lose convexity; fall back to gradient
             direction = g
-            slope = float(g @ g)
+            slope = float(np.vdot(g, g))
         step = 1.0
-        accepted = False
         while step > 1e-12:
             w_new = w - step * direction
             f_new = fval(w_new)
             if f_new <= f - 1e-4 * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         improvement = f - f_new
         w, f = w_new, f_new
         if improvement <= 1e-14 * max(1.0, abs(f)):
             break
-    return w
+    return w, f
+
+
+def _column_fit(A, yv, loss, reg, loss_scale, w0, max_iter):
+    """Minimize loss_scale * sum(loss(A w, y)) + reg/2 * ||w||^2 over w."""
+    eye = np.eye(A.shape[1])
+
+    def fval(wv):
+        t = A @ wv
+        return loss_scale * float(np.sum(loss.value(t, yv))) + 0.5 * reg * float(wv @ wv)
+
+    def linearize(wv):
+        t = A @ wv
+        g = loss_scale * (A.T @ np.asarray(loss.grad_t(t, yv), dtype=float)) + reg * wv
+
+        def newton_direction(g):
+            h = np.asarray(loss.hess_t(t, yv), dtype=float)
+            H = loss_scale * ((A * h[:, None]).T @ A) + (reg + 1e-12) * eye
+            try:
+                return np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                return g
+
+        return g, newton_direction
+
+    return _damped_newton(fval, linearize, w0, fval(w0), max_iter, gtol=1e-10)[0]
 
 
 def fit_alt_min(X, obs, config, k):
@@ -471,39 +481,28 @@ def fit_alt_min(X, obs, config, k):
         return M
 
     def w1_halfstep(W1m, W2m, f_cur):
-        for _ in range(3):
-            t = ((X @ W1m) @ W2m.T)[obs.rows, obs.cols]
+        """Newton-CG steps on W1 with W2 fixed."""
+
+        def linearize(W1v):
+            t = ((X @ W1v) @ W2m.T)[obs.rows, obs.cols]
             G1 = X.T @ (scatter(np.asarray(loss.grad_t(t, obs.values), dtype=float) / m)
-                        @ W2m) + lam * W1m
-            if float(np.sum(G1 * G1)) <= 1e-24:
-                break
-            h = np.maximum(np.asarray(loss.hess_t(t, obs.values), dtype=float), 0.0) / m
+                        @ W2m) + lam * W1v
 
-            def hessvec(S):
-                u = ((X @ S) @ W2m.T)[obs.rows, obs.cols]
-                return X.T @ (scatter(h * u) @ W2m) + (lam + 1e-12) * S
+            def newton_direction(G1):
+                h = np.maximum(np.asarray(loss.hess_t(t, obs.values), dtype=float), 0.0) / m
 
-            direction = _cg_solve(hessvec, G1)
-            slope = float(np.sum(G1 * direction))
-            if slope <= 0.0:
-                direction = G1
-                slope = float(np.sum(G1 * G1))
-            step = 1.0
-            accepted = False
-            while step > 1e-12:
-                cand = W1m - step * direction
-                f_cand = full_objective(cand, W2m)
-                if f_cand <= f_cur - 1e-4 * step * slope:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            improvement = f_cur - f_cand
-            W1m, f_cur = cand, f_cand
-            if improvement <= 1e-14 * max(1.0, abs(f_cur)):
-                break
-        return W1m, f_cur
+                def hessvec(S):
+                    u = ((X @ S) @ W2m.T)[obs.rows, obs.cols]
+                    return X.T @ (scatter(h * u) @ W2m) + (lam + 1e-12) * S
+
+                return _cg_solve(hessvec, G1)
+
+            return G1, newton_direction
+
+        return _damped_newton(
+            lambda W1v: full_objective(W1v, W2m), linearize, W1m, f_cur,
+            max_iter=3, gtol=1e-12,
+        )
 
     F = full_objective(W1, W2)
     if math.isnan(F):
@@ -525,7 +524,7 @@ def fit_alt_min(X, obs, config, k):
                 if lam > 0:
                     W2[j] = 0.0
                 continue
-            W2[j] = _damped_newton(
+            W2[j] = _column_fit(
                 A[obs.rows[idx]], obs.values[idx], loss,
                 reg=lam, loss_scale=1.0 / m, w0=W2[j], max_iter=4,
             )
@@ -569,9 +568,9 @@ def fit_plugin_baseline(X, obs, ridge):
             continue
         A = X[obs.rows[idx]]
         yv = obs.values[idx]
-        W[:, j] = _damped_newton(
+        W[:, j] = _column_fit(
             A, yv, loss, reg=ridge, loss_scale=1.0 / idx.size,
-            w0=np.zeros(X.shape[1]),
+            w0=np.zeros(X.shape[1]), max_iter=50,
         )
     return DenseModel(W=W)
 

@@ -178,7 +178,6 @@ def _solver_config(cfg, loss, seed, regularizer_mode=None):
         lambda_reg=cfg.lambda_reg,
         lambda_c=cfg.lambda_c,
         regularizer_mode=regularizer_mode or cfg.regularizer_mode,
-        gamma_clip=cfg.gamma_clip,
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
         step_init=cfg.step_init,
@@ -416,6 +415,8 @@ def cmd_eval(cfg):
 
 def cmd_convergence(cfg):
     """Metric-versus-sampling-ratio experiment for both methods."""
+    if cfg.data_path is not None:
+        raise UsageError("convergence needs a synthetic problem; data_path is not accepted")
     _ensure_out_dir(cfg)
     cfg.require_synthetic()
     if cfg.noise_model == "gaussian":
@@ -536,6 +537,8 @@ def cmd_rate_check(cfg):
     regresses log(error) on log(count), and repeats with the score-matrix
     regularizer for contrast.
     """
+    if cfg.data_path is not None:
+        raise UsageError("rate_check needs a synthetic problem; data_path is not accepted")
     _ensure_out_dir(cfg)
     cfg.require_synthetic()
     if cfg.noise_model != "bernoulli_logistic":

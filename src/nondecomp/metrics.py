@@ -1,8 +1,11 @@
-"""Confusion-count primitives, linear-fractional metric families, and the
-threshold sweep that binarizes real scores to maximize a chosen metric.
+"""Confusion counts, linear-fractional metric families, and the threshold
+sweep that binarizes real scores to maximize a chosen metric.
 
 Predictions and labels live on an observed set of (row, column) entries and
-are passed as parallel numpy arrays. Everything here is a pure function of
+are passed as parallel numpy arrays. One type, ``Confusion``, holds the
+confusion fractions: one slot per row (instance mode) or per column (macro
+mode), or a single slot over all entries (micro mode). A metric's value is
+the mean of its ratio over the slots. Everything here is a pure function of
 its inputs.
 """
 
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ConfusionAggregate",
-    "GroupedConfusion",
+    "Confusion",
     "MetricSpec",
     "MetricEval",
     "ThresholdResult",
@@ -31,41 +33,18 @@ __all__ = [
 
 _MODES = ("micro", "instance", "macro")
 
-
-@dataclass(frozen=True)
-class ConfusionAggregate:
-    """Empirical confusion fractions over a group of observed entries.
-
-    tp/fp/fn/tn are averages of the per-entry indicators, so they are
-    nonnegative and sum to 1 whenever count > 0.
-    """
-
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-    count: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0.0:
-            raise ValueError("confusion fractions must be nonnegative")
-        if self.count > 0 and abs(self.tp + self.fp + self.fn + self.tn - 1.0) > 1e-12:
-            raise ValueError("confusion fractions must sum to 1")
-
-    @classmethod
-    def from_counts(cls, tp, fp, fn, tn):
-        total = tp + fp + fn + tn
-        if total <= 0:
-            raise ValueError("empty observation set")
-        return cls(tp / total, fp / total, fn / total, tn / total, total)
+# groups whose ratio denominator falls below this contribute 0 to the metric
+_DENOMINATOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class GroupedConfusion:
-    """Per-group confusion fractions as parallel arrays.
+class Confusion:
+    """Confusion fractions per group as parallel arrays.
 
     Slot g of tp/fp/fn/tn/count describes group ``group_ids[g]``; groups
     with no entries are dropped, the rest kept in ascending group-id order.
+    The micro confusion pools every entry into one slot and has
+    ``group_ids=None``. Fractions of a slot are nonnegative and sum to 1.
     """
 
     tp: np.ndarray
@@ -73,7 +52,7 @@ class GroupedConfusion:
     fn: np.ndarray
     tn: np.ndarray
     count: np.ndarray
-    group_ids: np.ndarray
+    group_ids: np.ndarray | None
 
     def __len__(self):
         return len(self.count)
@@ -88,8 +67,8 @@ class MetricSpec:
         / (b0 + b11*tp + b01*fp + b10*fn + b00*tn)
     evaluated on all observed entries jointly (micro), or averaged over
     per-row (instance) or per-column (macro) groups. Groups whose
-    denominator falls below ``denominator_floor`` contribute 0 and are
-    flagged as degenerate instead of raising.
+    denominator falls below 1e-12 contribute 0 and are flagged as
+    degenerate instead of raising.
     """
 
     a0: float = 0.0
@@ -103,7 +82,6 @@ class MetricSpec:
     b10: float = 0.0
     b00: float = 0.0
     mode: str = "micro"
-    denominator_floor: float = 1e-12
 
     def __post_init__(self):
         coeffs = (
@@ -114,8 +92,6 @@ class MetricSpec:
             raise ValueError("metric coefficients must be finite")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not self.denominator_floor > 0.0:
-            raise ValueError("denominator_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -124,7 +100,6 @@ class MetricEval:
 
     value: float
     degenerate_groups: int
-    groups: int
 
 
 @dataclass(frozen=True)
@@ -171,7 +146,7 @@ def _ratio_arrays(spec, tp, fp, fn, tn):
     """Vectorized per-group ratios; degenerate groups contribute 0."""
     num = spec.a0 + spec.a11 * tp + spec.a01 * fp + spec.a10 * fn + spec.a00 * tn
     den = spec.b0 + spec.b11 * tp + spec.b01 * fp + spec.b10 * fn + spec.b00 * tn
-    ok = den >= spec.denominator_floor
+    ok = den >= _DENOMINATOR_FLOOR
     vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
     return vals, int(np.count_nonzero(~ok))
 
@@ -189,60 +164,49 @@ def _mean_ratio(spec, tp, fp, fn, tn):
 
 
 def confusion_micro(yhat, y):
-    """Confusion fractions averaged over all observed entries jointly."""
-    yhat = _as_binary(yhat, "predictions")
-    y = _as_binary(y, "labels")
-    if yhat.shape != y.shape:
-        raise ValueError("predictions and labels must be indexed by the same entries")
-    pred_pos = yhat == 1
-    true_pos = y == 1
-    tp = int(np.count_nonzero(pred_pos & true_pos))
-    fp = int(np.count_nonzero(pred_pos & ~true_pos))
-    fn = int(np.count_nonzero(~pred_pos & true_pos))
-    tn = int(np.count_nonzero(~pred_pos & ~true_pos))
-    return ConfusionAggregate.from_counts(tp, fp, fn, tn)
+    """Confusion fractions over all observed entries jointly: one slot,
+    ``group_ids=None``."""
+    return _confusion(yhat, y, None)
 
 
 def confusion_grouped(yhat, y, group_index):
     """Confusion fractions per group (rows for instance mode, columns for macro).
 
     ``group_index`` holds the group id of each observed entry. Returns a
-    GroupedConfusion with one slot per non-empty group, in ascending
-    group-id order.
+    Confusion with one slot per non-empty group, in ascending group-id order.
     """
+    return _confusion(yhat, y, group_index)
+
+
+def _confusion(yhat, y, group_index):
+    """Confusion per group of group_index, or in one slot when it is None."""
     yhat = _as_binary(yhat, "predictions")
     y = _as_binary(y, "labels")
-    gi = np.asarray(group_index)
-    if not (yhat.shape == y.shape == gi.shape):
-        raise ValueError("predictions, labels and group index must be aligned")
-    gids, inv = np.unique(gi, return_inverse=True)
-    ngrp = len(gids)
-    true_pos = y == 1
-    pred_pos = yhat == 1
-    tp = np.bincount(inv[pred_pos & true_pos], minlength=ngrp)
-    fp = np.bincount(inv[pred_pos & ~true_pos], minlength=ngrp)
-    fn = np.bincount(inv[~pred_pos & true_pos], minlength=ngrp)
-    tn = np.bincount(inv[~pred_pos & ~true_pos], minlength=ngrp)
-    return GroupedConfusion(
-        *_fractions(tp, fp, fn, tn), count=tp + fp + fn + tn, group_ids=gids,
-    )
+    if yhat.shape != y.shape:
+        raise ValueError("predictions and labels must be indexed by the same entries")
+    gids, inv = None, 0
+    if group_index is not None:
+        gi = np.asarray(group_index)
+        if gi.shape != y.shape:
+            raise ValueError("group index must align with predictions and labels")
+        gids, inv = np.unique(gi, return_inverse=True)
+    ngrp = 1 if gids is None else len(gids)
+    # each entry's outcome 2 * yhat + y, counted per group: tn, fn, fp, tp
+    tn, fn, fp, tp = np.bincount(4 * inv + 2 * yhat + y, minlength=4 * ngrp).reshape(ngrp, 4).T
+    return Confusion(*_fractions(tp, fp, fn, tn), count=tp + fp + fn + tn, group_ids=gids)
 
 
 def eval_metric_info(spec, conf):
     """Evaluate a metric and report degenerate-denominator groups.
 
-    ``conf`` is a single ConfusionAggregate in micro mode, or a
-    GroupedConfusion in instance/macro mode.
+    ``conf`` comes from confusion_micro in micro mode and from
+    confusion_grouped in instance/macro mode. Micro mode is the mean over
+    its one slot.
     """
-    if spec.mode == "micro":
-        if not isinstance(conf, ConfusionAggregate):
-            raise ValueError("micro mode takes a single ConfusionAggregate")
-        val, ndeg = _ratio_arrays(spec, *np.array([conf.tp, conf.fp, conf.fn, conf.tn]))
-        return MetricEval(float(val), ndeg, 1)
-    if not isinstance(conf, GroupedConfusion):
-        raise ValueError("grouped metric modes take a GroupedConfusion")
+    if not isinstance(conf, Confusion) or (conf.group_ids is None) != (spec.mode == "micro"):
+        raise ValueError(f"{spec.mode} mode needs the confusion of its own grouping")
     value, ndeg = _mean_ratio(spec, conf.tp, conf.fp, conf.fn, conf.tn)
-    return MetricEval(float(value), ndeg, len(conf))
+    return MetricEval(float(value), ndeg)
 
 
 def eval_metric(spec, conf):

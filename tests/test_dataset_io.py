@@ -291,7 +291,7 @@ def models(draw):
 
 
 class TestRoundTripProperties:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(ds=datasets())
     def test_dataset_round_trip(self, ds):
         buf = io.StringIO()
@@ -305,7 +305,7 @@ class TestRoundTripProperties:
         for got, want in zip(back.features, ds.features):
             assert bits([v for _, v in got]) == bits([v for _, v in want])
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(model=models())
     def test_model_round_trip(self, model):
         buf = io.StringIO()

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nondecomp.estimator import (
     DenseModel,
     FactoredModel,
     ObservationSet,
     SolverConfig,
+    _damped_newton,
     default_lambda,
     fit_alt_min,
     fit_plugin_baseline,
@@ -35,7 +38,60 @@ def random_instance(rng, n, d, L, frac=0.7, loss="logistic"):
     return X, ObservationSet(n, L, rows, cols, values)
 
 
+@st.composite
+def observation_triples(draw):
+    """Shape (n, L) and distinct in-range (row, col) cells with finite values."""
+    n = draw(st.integers(1, 6))
+    L = draw(st.integers(1, 6))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, L - 1)),
+        min_size=1, max_size=n * L, unique=True,
+    ))
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=len(cells), max_size=len(cells),
+    ))
+    rows, cols = (list(axis) for axis in zip(*cells))
+    return n, L, rows, cols, values
+
+
 class TestObservationSet:
+    @settings(max_examples=25)
+    @given(case=observation_triples())
+    def test_accepts_distinct_in_range_finite(self, case):
+        n, L, rows, cols, values = case
+        obs = ObservationSet(n, L, rows, cols, values)
+        assert (obs.n, obs.L, obs.size) == (n, L, len(rows))
+        assert obs.rows.tolist() == rows and obs.cols.tolist() == cols
+        assert obs.values.tolist() == values
+
+    @settings(max_examples=25)
+    @given(case=observation_triples(), data=st.data())
+    def test_rejects_any_duplicate(self, case, data):
+        n, L, rows, cols, values = case
+        i = data.draw(st.integers(0, len(rows) - 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            ObservationSet(n, L, rows + [rows[i]], cols + [cols[i]], values + [0.0])
+
+    @settings(max_examples=25)
+    @given(case=observation_triples(), data=st.data())
+    def test_rejects_any_out_of_range_index(self, case, data):
+        n, L, rows, cols, values = case
+        i = data.draw(st.integers(0, len(rows) - 1))
+        axis, size = data.draw(st.sampled_from([(rows, n), (cols, L)]))
+        axis[i] = data.draw(st.one_of(st.integers(-10, -1), st.integers(size, size + 10)))
+        with pytest.raises(ValueError, match="out of range"):
+            ObservationSet(n, L, rows, cols, values)
+
+    @settings(max_examples=25)
+    @given(case=observation_triples(), data=st.data())
+    def test_rejects_any_nonfinite_value(self, case, data):
+        n, L, rows, cols, values = case
+        i = data.draw(st.integers(0, len(rows) - 1))
+        values[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(n, L, rows, cols, values)
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             ObservationSet(2, 2, [0, 0], [1, 1], [1.0, 0.0])
@@ -52,6 +108,27 @@ class TestObservationSet:
     def test_rejects_nonfinite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ObservationSet(2, 2, [0, 1], [0, 1], [1.0, bad])
+
+
+class TestDampedNewton:
+    def test_uphill_newton_direction_falls_back_to_gradient(self):
+        # f = a^4/4 - a^2/2 + b^2 curves downward along a at a = 0.5, where
+        # the Newton direction H^-1 g has a negative slope g . d
+        def fval(w):
+            return w[0] ** 4 / 4 - w[0] ** 2 / 2 + w[1] ** 2
+
+        def linearize(w):
+            g = np.array([w[0] ** 3 - w[0], 2.0 * w[1]])
+            H = np.diag([3.0 * w[0] ** 2 - 1.0, 2.0])
+            return g, lambda g: np.linalg.solve(H, g)
+
+        w0 = np.array([0.5, 0.01])
+        g0, newton_direction = linearize(w0)
+        assert np.vdot(g0, newton_direction(g0)) < 0.0
+        w, f = _damped_newton(fval, linearize, w0, fval(w0), max_iter=1, gtol=1e-10)
+        step = (w0 - w) / g0
+        assert step[0] > 0.0 and step[0] == pytest.approx(step[1], rel=1e-12)
+        assert f == fval(w) < fval(w0)
 
 
 class TestNonfiniteFeatures:

@@ -394,6 +394,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "d = 5, L = 20" in err and "d = 7, L = 20" in err
 
+    @pytest.mark.parametrize("task", ["threshold", "eval"])
+    def test_nonpositive_gamma_clip_exit_code(self, tmp_path, capsys, task):
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nsolver = plugin\n"
+        )
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        capsys.readouterr()
+        assert main([task, cfg, "--gamma_clip=-1"]) == 2
+        assert "gamma_clip must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["convergence", "rate_check"])
+    def test_synthetic_task_rejects_data_path(self, tmp_path, capsys, task):
+        data = self.write_dataset_file(tmp_path, "n80.txt", 80, 4, 8)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\ndata_path = {data}\n"
+            "noise_model = bernoulli_logistic\nrepeats = 1\nratios = 0.5\n",
+        )
+        assert main([task, cfg]) == 2
+        assert f"{task} needs a synthetic problem" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nondecomp.metrics import (
     METRIC_REGISTRY,
-    ConfusionAggregate,
+    Confusion,
     MetricSpec,
     apply_threshold,
     confusion_grouped,
@@ -20,6 +20,11 @@ F1 = get_metric("micro_f1")
 ACC = get_metric("accuracy")
 INST_F1 = get_metric("instance_f1")
 MACRO_F1 = get_metric("macro_f1")
+
+
+def micro_conf(tp, fp, fn, tn, count=1):
+    """A micro confusion (one slot, no group ids) with the given fractions."""
+    return Confusion(*(np.array([v]) for v in (tp, fp, fn, tn, count)), group_ids=None)
 
 
 def brute_force_sweep(z, y, spec, group_index=None):
@@ -79,6 +84,11 @@ class TestConfusionMicro:
         assert conf.fp == pytest.approx(1 / 3)
         assert conf.fn == pytest.approx(1 / 3)
         assert conf.tn == 0.0
+
+    def test_one_slot_without_group_ids(self):
+        conf = confusion_micro(np.array([1, 0, 0]), np.array([1, 1, 0]))
+        assert len(conf) == 1 and conf.group_ids is None
+        assert conf.count.tolist() == [3]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty observation set"):
@@ -142,29 +152,32 @@ class TestConfusionGrouped:
 
 class TestEvalMetric:
     def test_perfect_f1(self):
-        conf = ConfusionAggregate(tp=0.5, fp=0.0, fn=0.0, tn=0.5, count=10)
+        conf = micro_conf(tp=0.5, fp=0.0, fn=0.0, tn=0.5, count=10)
         assert eval_metric(F1, conf) == 1.0
 
     def test_f1_formula(self):
-        conf = ConfusionAggregate(tp=0.25, fp=0.25, fn=0.25, tn=0.25, count=4)
+        conf = micro_conf(tp=0.25, fp=0.25, fn=0.25, tn=0.25, count=4)
         assert eval_metric(F1, conf) == pytest.approx(0.5)
 
     def test_hamming_accuracy(self):
-        conf = ConfusionAggregate(tp=0.3, fp=0.1, fn=0.2, tn=0.4, count=10)
+        conf = micro_conf(tp=0.3, fp=0.1, fn=0.2, tn=0.4, count=10)
         assert eval_metric(ACC, conf) == pytest.approx(0.7)
 
     def test_degenerate_group_contributes_zero(self):
-        conf = ConfusionAggregate(tp=0.0, fp=0.0, fn=0.0, tn=1.0, count=3)
+        conf = micro_conf(tp=0.0, fp=0.0, fn=0.0, tn=1.0, count=3)
         info = eval_metric_info(F1, conf)
         assert info.value == 0.0
         assert info.degenerate_groups == 1
 
     def test_mode_arity_enforced(self):
-        conf = ConfusionAggregate(tp=1.0, fp=0.0, fn=0.0, tn=0.0, count=1)
+        conf = micro_conf(tp=1.0, fp=0.0, fn=0.0, tn=0.0, count=1)
         with pytest.raises(ValueError):
             eval_metric(INST_F1, conf)
         with pytest.raises(ValueError):
             eval_metric(F1, [conf, conf])
+        grouped = confusion_grouped(np.array([1, 0]), np.array([1, 1]), np.array([0, 1]))
+        with pytest.raises(ValueError):
+            eval_metric(F1, grouped)
 
     def test_instance_equals_micro_on_identical_rows(self):
         # both rows have the same confusion fractions
@@ -179,7 +192,7 @@ class TestEvalMetric:
         rng = np.random.default_rng(2)
         for _ in range(200):
             parts = rng.dirichlet(np.ones(4))
-            conf = ConfusionAggregate(*parts, count=100)
+            conf = micro_conf(*parts, count=100)
             assert 0.0 <= eval_metric(F1, conf) <= 1.0
             assert 0.0 <= eval_metric(ACC, conf) <= 1.0
 
@@ -258,7 +271,7 @@ class TestThresholdSweep:
             assert res.theta_hat == theta_bf
 
     @pytest.mark.parametrize("name", sorted(METRIC_REGISTRY))
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(case=heavy_tie_instances())
     def test_matches_brute_force_heavy_ties(self, name, case):
         z, y, groups = case
@@ -301,5 +314,5 @@ class TestRegistry:
             get_metric("f2")
 
     def test_jaccard_formula(self):
-        conf = ConfusionAggregate(tp=0.25, fp=0.25, fn=0.25, tn=0.25, count=4)
+        conf = micro_conf(tp=0.25, fp=0.25, fn=0.25, tn=0.25, count=4)
         assert eval_metric(get_metric("jaccard"), conf) == pytest.approx(1 / 3)
