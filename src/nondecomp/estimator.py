@@ -159,6 +159,8 @@ class FitReport:
     iterations: int
     converged: bool
     final_rank: int
+    # why the outer loop ended: "rel_tol", "max_iters" or "line_search"
+    stop_reason: str
 
 
 def default_lambda(n_observed, c=1.0):
@@ -315,7 +317,7 @@ def fit_prox_grad(X, obs, config):
     F = f + lam * reg_of(W)
     trace = [F]
     step = config.step_init
-    converged = False
+    stop_reason = "max_iters"
 
     for it in range(1, config.max_iters + 1):
         G = grad_empirical(X, obs, W, loss)
@@ -333,20 +335,22 @@ def fit_prox_grad(X, obs, config):
                 break
             step *= config.step_shrink
         if not accepted:
+            stop_reason = "line_search"
             break
         trace.append(F_new)
         small_change = abs(F - F_new) <= config.rel_tol * max(1.0, abs(F))
         W, f, F = W_new, f_new, F_new
         step *= config.step_growth
         if small_change:
-            converged = True
+            stop_reason = "rel_tol"
             break
 
     report = FitReport(
         objective_trace=trace,
         iterations=len(trace) - 1,
-        converged=converged,
+        converged=stop_reason == "rel_tol",
         final_rank=_rank_of(W),
+        stop_reason=stop_reason,
     )
     return DenseModel(W=W), report
 
@@ -360,9 +364,10 @@ def _by_column(obs):
     return [order[starts[j]:ends[j]] for j in range(obs.L)]
 
 
-def _cg_solve(matvec, B, tol=1e-10, max_iter=40):
-    """Conjugate gradient for matvec(S) = B over matrices; returns the last
-    iterate if curvature turns nonpositive."""
+def _cg_solve(matvec, B, tol, max_iter=40):
+    """Conjugate gradient for matvec(S) = B over matrices, stopped at a
+    residual of tol * ||B||; returns the last iterate if curvature turns
+    nonpositive."""
     S = np.zeros_like(B)
     R = B.copy()
     P = R.copy()
@@ -445,15 +450,67 @@ def _column_fit(A, yv, loss, reg, loss_scale, w0, max_iter):
     return _damped_newton(fval, linearize, w0, fval(w0), max_iter, gtol=1e-10)[0]
 
 
+def _fit_w2(A, obs, loss, lam, W2, max_iter):
+    """Minimize sum(loss(A[rows] . W2[cols], y)) / m + lam/2 * ||W2||^2
+    over the L x k matrix W2, by damped Newton from W2.
+
+    The objective separates by column, so the Hessian is block diagonal:
+    one k x k block per column, summed from the entries with ``bincount``
+    and solved for all columns by one stacked solve. A singular block
+    fails the whole stacked solve, and the direction is then the gradient.
+    Columns with no entries end at zero when lam > 0.
+    """
+    m = obs.size
+    L, k = W2.shape
+    Ae = A[obs.rows]
+    y = obs.values
+    shift = (lam + 1e-12) * np.eye(k)
+
+    def colsum(weights):
+        return np.bincount(obs.cols, weights=weights, minlength=L)
+
+    def scores(W2v):
+        return np.einsum("ij,ij->i", Ae, W2v[obs.cols])
+
+    def fval(W2v):
+        emp = float(np.sum(loss.value(scores(W2v), y))) / m
+        return emp + 0.5 * lam * float(np.sum(W2v * W2v))
+
+    def linearize(W2v):
+        t = scores(W2v)
+        ge = np.asarray(loss.grad_t(t, y), dtype=float) / m
+        G = np.stack([colsum(ge * Ae[:, p]) for p in range(k)], axis=1) + lam * W2v
+
+        def newton_direction(G):
+            hAe = (np.asarray(loss.hess_t(t, y), dtype=float) / m)[:, None] * Ae
+            H = np.empty((L, k, k))
+            for p in range(k):
+                for q in range(p + 1):
+                    H[:, p, q] = H[:, q, p] = colsum(hAe[:, p] * Ae[:, q])
+            try:
+                return np.linalg.solve(H + shift, G[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                return G
+
+        return G, newton_direction
+
+    W2, _ = _damped_newton(fval, linearize, W2, fval(W2), max_iter, gtol=1e-10)
+    if lam > 0:
+        W2 = np.where((colsum(None) == 0)[:, None], 0.0, W2)
+    return W2
+
+
 def fit_alt_min(X, obs, config, k):
     """Alternating minimization of the rank-k factorization.
 
     The objective is the empirical risk plus lam/2 * (||W1||_F^2 +
     ||W2||_F^2), the variational surrogate of the nuclear norm at rank k.
-    The W2 half-step solves each column's convex fit by damped Newton; the
-    W1 half-step takes damped Newton steps whose directions come from
-    conjugate gradient on Hessian-vector products. Both half-steps are
-    monotone, and the objective trace records the value after every
+    The W2 half-step takes damped Newton steps on all of W2 at once, with
+    a block-diagonal Hessian (``_fit_w2``); the W1 half-step takes damped
+    Newton steps whose directions come from conjugate gradient on
+    Hessian-vector products, stopped at the forcing tolerance
+    min(0.5, sqrt(||gradient||)) of Eisenstat and Walker. Both half-steps
+    are monotone, and the objective trace records the value after every
     half-step (two entries per outer iteration).
     """
     X = _check_X(X, obs)
@@ -467,7 +524,6 @@ def fit_alt_min(X, obs, config, k):
     scale = 1.0 / math.sqrt(k)
     W1 = rng.standard_normal((d, k)) * scale
     W2 = rng.standard_normal((obs.L, k)) * scale
-    cols_idx = _by_column(obs)
 
     def full_objective(W1m, W2m):
         t = ((X @ W1m) @ W2m.T)[obs.rows, obs.cols]
@@ -495,7 +551,8 @@ def fit_alt_min(X, obs, config, k):
                     u = ((X @ S) @ W2m.T)[obs.rows, obs.cols]
                     return X.T @ (scatter(h * u) @ W2m) + (lam + 1e-12) * S
 
-                return _cg_solve(hessvec, G1)
+                tol = min(0.5, math.sqrt(float(np.linalg.norm(G1))))
+                return _cg_solve(hessvec, G1, tol)
 
             return G1, newton_direction
 
@@ -508,7 +565,7 @@ def fit_alt_min(X, obs, config, k):
     if math.isnan(F):
         raise NumericalError("objective NaN at initialization")
     trace = [F]
-    converged = False
+    stop_reason = "max_iters"
 
     for _ in range(config.max_iters):
         W1, f_cur = w1_halfstep(W1, W2, F)
@@ -516,18 +573,7 @@ def fit_alt_min(X, obs, config, k):
             raise NumericalError("objective became NaN during the W1 half-step")
         trace.append(f_cur)
 
-        # W2 half-step: damped Newton, one convex fit per column
-        A = X @ W1
-        for j in range(obs.L):
-            idx = cols_idx[j]
-            if idx.size == 0:
-                if lam > 0:
-                    W2[j] = 0.0
-                continue
-            W2[j] = _column_fit(
-                A[obs.rows[idx]], obs.values[idx], loss,
-                reg=lam, loss_scale=1.0 / m, w0=W2[j], max_iter=4,
-            )
+        W2 = _fit_w2(X @ W1, obs, loss, lam, W2, max_iter=4)
         F_new = full_objective(W1, W2)
         if math.isnan(F_new):
             raise NumericalError("objective became NaN during the W2 half-step")
@@ -535,7 +581,7 @@ def fit_alt_min(X, obs, config, k):
 
         if abs(F - F_new) <= config.rel_tol * max(1.0, abs(F)):
             F = F_new
-            converged = True
+            stop_reason = "rel_tol"
             break
         F = F_new
 
@@ -543,8 +589,9 @@ def fit_alt_min(X, obs, config, k):
     report = FitReport(
         objective_trace=trace,
         iterations=(len(trace) - 1) // 2,
-        converged=converged,
+        converged=stop_reason == "rel_tol",
         final_rank=_rank_of(model.dense()),
+        stop_reason=stop_reason,
     )
     return model, report
 

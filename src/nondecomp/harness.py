@@ -347,7 +347,8 @@ def cmd_fit(cfg):
     if report is not None:
         print(
             f"fit: solver={cfg.solver} iterations={report.iterations} "
-            f"converged={report.converged} objective={report.objective_trace[-1]:.6g} "
+            f"converged={report.converged} stop={report.stop_reason} "
+            f"objective={report.objective_trace[-1]:.6g} "
             f"rank={report.final_rank} model={path}"
         )
     else:
@@ -417,14 +418,17 @@ def cmd_convergence(cfg):
     """Metric-versus-sampling-ratio experiment for both methods."""
     if cfg.data_path is not None:
         raise UsageError("convergence needs a synthetic problem; data_path is not accepted")
-    _ensure_out_dir(cfg)
     cfg.require_synthetic()
     if cfg.noise_model == "gaussian":
         raise UsageError("the convergence experiment needs a binary noise model")
+    for key in ("ratios", "methods", "metrics"):
+        if not getattr(cfg, key):
+            raise UsageError(f"convergence needs at least one value in {key}")
     for m in cfg.methods:
         if m not in ("algorithm1", "plugin"):
             raise UsageError(f"unknown method {m!r}; expected algorithm1 or plugin")
     specs = {name: get_metric(name) for name in cfg.metrics}
+    _ensure_out_dir(cfg)
 
     # one problem and one fresh test split per repeat, shared by every
     # (method, ratio) trial of that repeat
@@ -539,19 +543,23 @@ def cmd_rate_check(cfg):
     """
     if cfg.data_path is not None:
         raise UsageError("rate_check needs a synthetic problem; data_path is not accepted")
-    _ensure_out_dir(cfg)
     cfg.require_synthetic()
     if cfg.noise_model != "bernoulli_logistic":
         raise UsageError("rate_check needs noise_model = bernoulli_logistic")
     total = cfg.n * cfg.L
     if cfg.omegas is not None:
-        grid = tuple(int(m) for m in cfg.omegas)
+        key, grid = "omegas", tuple(int(m) for m in cfg.omegas)
     else:
+        key = "grid_points"
         grid = tuple(round(total * 2.0 ** -(cfg.grid_points - 1 - i)) for i in range(cfg.grid_points))
-    if len(grid) < 3:
-        raise UsageError("rate_check needs at least 3 grid points")
+    if len(grid) < 3 or len(set(grid)) < len(grid):
+        raise UsageError(
+            f"rate_check needs at least 3 grid points, all distinct; "
+            f"{key} gives {','.join(map(str, grid))}"
+        )
     if any(not 1 <= m <= total for m in grid):
         raise UsageError(f"omega grid must lie in [1, {total}]")
+    _ensure_out_dir(cfg)
 
     # one problem per repeat, shared by every (mode, omega) fit of that repeat
     problems = {rep: _load_problem(cfg, cfg.seed + rep) for rep in range(cfg.repeats)}

@@ -10,7 +10,9 @@ from nondecomp.estimator import (
     FactoredModel,
     ObservationSet,
     SolverConfig,
+    _column_fit,
     _damped_newton,
+    _fit_w2,
     default_lambda,
     fit_alt_min,
     fit_plugin_baseline,
@@ -22,7 +24,8 @@ from nondecomp.estimator import (
     prox_nuclear,
     recovery_error,
 )
-from nondecomp.losses import get_loss, sigmoid
+from nondecomp import estimator
+from nondecomp.losses import LogisticLoss, PULossWrapper, get_loss, sigmoid
 
 
 def random_instance(rng, n, d, L, frac=0.7, loss="logistic"):
@@ -263,6 +266,15 @@ class TestFitProxGrad:
         model, report = fit_prox_grad(X, obs, cfg)
         np.testing.assert_allclose(model.W, 0.0, atol=1e-12)
         assert report.final_rank == 0
+        assert report.stop_reason == "rel_tol" and report.converged
+        # a first step below the backtracking floor is never tried
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=50.0, step_init=1e-20)
+        _, report = fit_prox_grad(X, obs, cfg)
+        assert report.stop_reason == "line_search" and report.iterations == 0
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.01, max_iters=2)
+        _, report = fit_prox_grad(X, obs, cfg)
+        assert report.stop_reason == "max_iters" and report.iterations == 2
+        assert not report.converged
 
     def test_trace_nonincreasing(self):
         rng = np.random.default_rng(9)
@@ -392,6 +404,82 @@ class TestFitAltMin:
         m2, r2 = fit_alt_min(X, obs, cfg, k=2)
         np.testing.assert_array_equal(m1.W1, m2.W1)
         assert r1.objective_trace == r2.objective_trace
+        assert r1.stop_reason == "rel_tol" and r1.converged and r1.iterations < 15
+        cfg.max_iters = 2
+        _, r3 = fit_alt_min(X, obs, cfg, k=2)
+        assert r3.stop_reason == "max_iters" and r3.iterations == 2 and not r3.converged
+
+
+class TestFitW2:
+    """The alt_min W2 half-step, one damped Newton over all columns,
+    against per-column fits of the same objective."""
+
+    def instance(self, seed, loss_name="logistic", short_column=True):
+        """A = X @ W1, observations and a starting W2 with L = 6, k = 3:
+        column 0 has no entries, and column 1 keeps only k - 1 of its
+        entries when ``short_column`` is set."""
+        rng = np.random.default_rng(seed)
+        X, obs = random_instance(rng, 30, 4, 6, frac=0.6, loss=loss_name)
+        keep = obs.cols != 0
+        if short_column:
+            keep[np.flatnonzero(obs.cols == 1)[2:]] = False
+        obs = ObservationSet(30, 6, obs.rows[keep], obs.cols[keep], obs.values[keep])
+        A = X @ rng.normal(size=(4, 3))
+        W2 = rng.normal(size=(6, 3))
+        return A, obs, W2
+
+    def per_column(self, A, obs, loss, lam, W2):
+        out = W2.copy()
+        for j in range(obs.L):
+            idx = np.flatnonzero(obs.cols == j)
+            if idx.size == 0:
+                if lam > 0:
+                    out[j] = 0.0
+                continue
+            out[j] = _column_fit(
+                A[obs.rows[idx]], obs.values[idx], loss,
+                reg=lam, loss_scale=1.0 / obs.size, w0=W2[j], max_iter=100,
+            )
+        return out
+
+    @pytest.mark.parametrize("loss, lam", [
+        (LogisticLoss(), 0.05),
+        (PULossWrapper(LogisticLoss(), 0.3), 0.02),
+    ])
+    def test_matches_per_column_fits(self, loss, lam):
+        A, obs, W2 = self.instance(41)
+        assert np.count_nonzero(obs.cols == 0) == 0
+        assert 0 < np.count_nonzero(obs.cols == 1) < W2.shape[1]
+        batched = _fit_w2(A, obs, loss, lam, W2, max_iter=100)
+        np.testing.assert_allclose(batched, self.per_column(A, obs, loss, lam, W2),
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(batched[0], 0.0)
+
+    def test_matches_per_column_fits_without_penalty(self):
+        # no penalty: every column needs k entries for a unique minimizer,
+        # and an empty column keeps its starting row
+        A, obs, W2 = self.instance(42, "gaussian", short_column=False)
+        loss = get_loss("gaussian")
+        batched = _fit_w2(A, obs, loss, 0.0, W2, max_iter=100)
+        np.testing.assert_allclose(batched, self.per_column(A, obs, loss, 0.0, W2),
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(batched[0], W2[0])
+
+    def test_singular_stacked_solve_falls_back_to_gradient(self, monkeypatch):
+        calls = []
+
+        def singular(a, b):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(estimator.np.linalg, "solve", singular)
+        X, obs = random_instance(np.random.default_rng(43), 12, 4, 5)
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.05, max_iters=10, seed=1)
+        model, report = fit_alt_min(X, obs, cfg, k=2)
+        assert calls and all(shape == (5, 2, 2) for shape in calls)
+        assert np.all(np.isfinite(model.W1)) and np.all(np.isfinite(model.W2))
+        trace = np.asarray(report.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-10) and trace[-1] < trace[0]
 
 
 class TestPluginBaseline:

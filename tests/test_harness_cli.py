@@ -285,6 +285,7 @@ class TestCli:
         assert main(["eval", cfg]) == 0
         out = capsys.readouterr().out
         assert "fit:" in out and "threshold:" in out and "eval:" in out
+        assert "stop=rel_tol" in out or "stop=max_iters" in out
 
     def test_override_changes_seed(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/o1\n")
@@ -414,6 +415,29 @@ class TestCli:
         )
         assert main([task, cfg]) == 2
         assert f"{task} needs a synthetic problem" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("key", ["ratios", "methods", "metrics"])
+    def test_convergence_empty_list_exit_code(self, tmp_path, capsys, key):
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nrepeats = 1\nratios = 0.5\n",
+        )
+        assert main(["convergence", cfg, f"--{key}="]) == 2
+        assert f"convergence needs at least one value in {key}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("override, key", [
+        ("--omegas=5,5,5", "omegas"),
+        ("--omegas=100,100,200,400", "omegas"),
+        ("--grid_points=2", "grid_points"),
+    ])
+    def test_rate_check_grid_needs_three_distinct_points(self, tmp_path, capsys, override, key):
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nnoise_model = bernoulli_logistic\n",
+        )
+        assert main(["rate_check", cfg, override]) == 2
+        err = capsys.readouterr().err
+        assert "at least 3 grid points, all distinct" in err and f"{key} gives" in err
         assert not os.path.exists(tmp_path / "out")
 
     def test_help(self, capsys):
