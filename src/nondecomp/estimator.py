@@ -6,8 +6,9 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
 * ``fit_prox_grad`` -- proximal gradient with backtracking on the convex
   objective, including the experimental variant that penalizes the nuclear
   norm of the score matrix instead of the parameter matrix.
-* ``fit_alt_min`` -- alternating minimization of the rank-k factorization
-  with the standard Frobenius surrogate of the nuclear penalty.
+* ``fit_alt_min`` -- damped Gauss-Newton-CG steps on both factors of the
+  rank-k factorization at once, with the standard Frobenius surrogate of
+  the nuclear penalty (the name is kept from alternating minimization).
 * ``fit_plugin_baseline`` -- independent per-label ridge-regularized
   logistic fits, the comparison method that ignores label correlations.
 """
@@ -450,145 +451,106 @@ def _column_fit(A, yv, loss, reg, loss_scale, w0, max_iter):
     return _damped_newton(fval, linearize, w0, fval(w0), max_iter, gtol=1e-10)[0]
 
 
-def _fit_w2(A, obs, loss, lam, W2, max_iter):
-    """Minimize sum(loss(A[rows] . W2[cols], y)) / m + lam/2 * ||W2||^2
-    over the L x k matrix W2, by damped Newton from W2.
+def _factored_objective(X, obs, loss, lam):
+    """The alt_min objective sum(loss)/m + lam/2 * ||w||^2 over the packed
+    factors w = [W1; W2], a (d + L) x k matrix, where the score of entry
+    (i, j) is (X @ W1)[i] . W2[j].
 
-    The objective separates by column, so the Hessian is block diagonal:
-    one k x k block per column, summed from the entries with ``bincount``
-    and solved for all columns by one stacked solve. A singular block
-    fails the whole stacked solve, and the direction is then the gradient.
-    Columns with no entries end at zero when lam > 0.
+    Returns fval(w) and gauss_newton(w). The latter gives the gradient
+    J^T (loss' / m) + lam * w and the Gauss-Newton matvec
+    S -> J^T diag(max(loss'', 0) / m) J S + (lam + 1e-12) * S, where J is
+    the Jacobian of the m observed scores in w. Both sum their per-entry
+    terms into rows of X @ W1 and of W2 with ``bincount``, so nothing of
+    size n x L is formed.
     """
+    d = X.shape[1]
     m = obs.size
-    L, k = W2.shape
-    Ae = A[obs.rows]
     y = obs.values
-    shift = (lam + 1e-12) * np.eye(k)
 
-    def colsum(weights):
-        return np.bincount(obs.cols, weights=weights, minlength=L)
+    def scores(A, W2):
+        """A[i] . W2[j] for every observed entry (i, j), summed one factor
+        column at a time: the line search calls it while the Gauss-Newton
+        state below is alive, so it forms no further m x k array."""
+        t = A[obs.rows, 0] * W2[obs.cols, 0]
+        for p in range(1, A.shape[1]):
+            t += A[obs.rows, p] * W2[obs.cols, p]
+        return t
 
-    def scores(W2v):
-        return np.einsum("ij,ij->i", Ae, W2v[obs.cols])
+    def fval(w):
+        emp = float(np.sum(loss.value(scores(X @ w[:d], w[d:]), y))) / m
+        return emp + 0.5 * lam * float(np.sum(w * w))
 
-    def fval(W2v):
-        emp = float(np.sum(loss.value(scores(W2v), y))) / m
-        return emp + 0.5 * lam * float(np.sum(W2v * W2v))
+    def gauss_newton(w):
+        A, W2 = X @ w[:d], w[d:]
+        t = scores(A, W2)
+        Ae, Be = A[obs.rows], W2[obs.cols]
 
-    def linearize(W2v):
-        t = scores(W2v)
-        ge = np.asarray(loss.grad_t(t, y), dtype=float) / m
-        G = np.stack([colsum(ge * Ae[:, p]) for p in range(k)], axis=1) + lam * W2v
+        def jac_t(u):
+            """J^T u for per-entry weights u."""
+            by_row = [np.bincount(obs.rows, u * Be[:, p], obs.n) for p in range(w.shape[1])]
+            by_col = [np.bincount(obs.cols, u * Ae[:, p], obs.L) for p in range(w.shape[1])]
+            return np.vstack([X.T @ np.stack(by_row, axis=1), np.stack(by_col, axis=1)])
 
-        def newton_direction(G):
-            hAe = (np.asarray(loss.hess_t(t, y), dtype=float) / m)[:, None] * Ae
-            H = np.empty((L, k, k))
-            for p in range(k):
-                for q in range(p + 1):
-                    H[:, p, q] = H[:, q, p] = colsum(hAe[:, p] * Ae[:, q])
-            try:
-                return np.linalg.solve(H + shift, G[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                return G
+        G = jac_t(np.asarray(loss.grad_t(t, y), dtype=float) / m) + lam * w
+        # PU-corrected losses can have negative curvature; clipping keeps
+        # the Gauss-Newton matrix positive definite for CG
+        h = np.maximum(np.asarray(loss.hess_t(t, y), dtype=float), 0.0) / m
 
-        return G, newton_direction
+        def matvec(S):
+            u = (np.einsum("ij,ij->i", (X @ S[:d])[obs.rows], Be)
+                 + np.einsum("ij,ij->i", Ae, S[d:][obs.cols]))
+            return jac_t(h * u) + (lam + 1e-12) * S
 
-    W2, _ = _damped_newton(fval, linearize, W2, fval(W2), max_iter, gtol=1e-10)
-    if lam > 0:
-        W2 = np.where((colsum(None) == 0)[:, None], 0.0, W2)
-    return W2
+        return G, matvec
+
+    return fval, gauss_newton
 
 
 def fit_alt_min(X, obs, config, k):
-    """Alternating minimization of the rank-k factorization.
+    """Joint second-order minimization of the rank-k factorization.
 
     The objective is the empirical risk plus lam/2 * (||W1||_F^2 +
     ||W2||_F^2), the variational surrogate of the nuclear norm at rank k.
-    The W2 half-step takes damped Newton steps on all of W2 at once, with
-    a block-diagonal Hessian (``_fit_w2``); the W1 half-step takes damped
-    Newton steps whose directions come from conjugate gradient on
-    Hessian-vector products, stopped at the forcing tolerance
-    min(0.5, sqrt(||gradient||)) of Eisenstat and Walker. Both half-steps
-    are monotone, and the objective trace records the value after every
-    half-step (two entries per outer iteration).
+    Each iteration is one damped Gauss-Newton step on W1 and W2 together:
+    the direction comes from conjugate gradient on Gauss-Newton matrix-
+    vector products (``_factored_objective``), stopped at the forcing
+    tolerance min(0.5, sqrt(||gradient||)) of Eisenstat and Walker, and an
+    Armijo backtracking search on the full objective makes every step
+    monotone. The objective trace records the value after every iteration.
     """
     X = _check_X(X, obs)
     d = X.shape[1]
     if not 1 <= k <= min(d, obs.L):
         raise ValueError(f"rank k must lie in [1, min(d, L)] = [1, {min(d, obs.L)}]")
     lam = _resolve_lambda(config, obs)
-    loss = config.loss
-    m = obs.size
     rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), 29)))
-    scale = 1.0 / math.sqrt(k)
-    W1 = rng.standard_normal((d, k)) * scale
-    W2 = rng.standard_normal((obs.L, k)) * scale
+    w = rng.standard_normal((d + obs.L, k)) * (1.0 / math.sqrt(k))
+    fval, gauss_newton = _factored_objective(X, obs, config.loss, lam)
 
-    def full_objective(W1m, W2m):
-        t = ((X @ W1m) @ W2m.T)[obs.rows, obs.cols]
-        emp = float(np.mean(loss.value(t, obs.values)))
-        pen = 0.5 * lam * (float(np.sum(W1m * W1m)) + float(np.sum(W2m * W2m)))
-        return emp + pen
+    def linearize(wv):
+        G, matvec = gauss_newton(wv)
+        tol = min(0.5, math.sqrt(float(np.linalg.norm(G))))
+        return G, lambda G: _cg_solve(matvec, G, tol)
 
-    def scatter(entry_values):
-        M = np.zeros((obs.n, obs.L))
-        M[obs.rows, obs.cols] = entry_values
-        return M
-
-    def w1_halfstep(W1m, W2m, f_cur):
-        """Newton-CG steps on W1 with W2 fixed."""
-
-        def linearize(W1v):
-            t = ((X @ W1v) @ W2m.T)[obs.rows, obs.cols]
-            G1 = X.T @ (scatter(np.asarray(loss.grad_t(t, obs.values), dtype=float) / m)
-                        @ W2m) + lam * W1v
-
-            def newton_direction(G1):
-                h = np.maximum(np.asarray(loss.hess_t(t, obs.values), dtype=float), 0.0) / m
-
-                def hessvec(S):
-                    u = ((X @ S) @ W2m.T)[obs.rows, obs.cols]
-                    return X.T @ (scatter(h * u) @ W2m) + (lam + 1e-12) * S
-
-                tol = min(0.5, math.sqrt(float(np.linalg.norm(G1))))
-                return _cg_solve(hessvec, G1, tol)
-
-            return G1, newton_direction
-
-        return _damped_newton(
-            lambda W1v: full_objective(W1v, W2m), linearize, W1m, f_cur,
-            max_iter=3, gtol=1e-12,
-        )
-
-    F = full_objective(W1, W2)
+    F = fval(w)
     if math.isnan(F):
         raise NumericalError("objective NaN at initialization")
     trace = [F]
     stop_reason = "max_iters"
 
     for _ in range(config.max_iters):
-        W1, f_cur = w1_halfstep(W1, W2, F)
-        if math.isnan(f_cur):
-            raise NumericalError("objective became NaN during the W1 half-step")
-        trace.append(f_cur)
-
-        W2 = _fit_w2(X @ W1, obs, loss, lam, W2, max_iter=4)
-        F_new = full_objective(W1, W2)
-        if math.isnan(F_new):
-            raise NumericalError("objective became NaN during the W2 half-step")
+        w, F_new = _damped_newton(fval, linearize, w, F, max_iter=1, gtol=1e-12)
         trace.append(F_new)
-
-        if abs(F - F_new) <= config.rel_tol * max(1.0, abs(F)):
-            F = F_new
+        small_change = abs(F - F_new) <= config.rel_tol * max(1.0, abs(F))
+        F = F_new
+        if small_change:
             stop_reason = "rel_tol"
             break
-        F = F_new
 
-    model = FactoredModel(W1=W1, W2=W2)
+    model = FactoredModel(W1=w[:d], W2=w[d:])
     report = FitReport(
         objective_trace=trace,
-        iterations=(len(trace) - 1) // 2,
+        iterations=len(trace) - 1,
         converged=stop_reason == "rel_tol",
         final_rank=_rank_of(model.dense()),
         stop_reason=stop_reason,

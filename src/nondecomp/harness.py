@@ -282,6 +282,24 @@ def _read_model(cfg, d, L):
     return model
 
 
+def _experiment_specs(cfg):
+    """The metric specs of a convergence or compare run, by name, after
+    checking that its methods and metrics are nonempty, distinct and known."""
+    for key in ("methods", "metrics"):
+        values = getattr(cfg, key)
+        if not values:
+            raise UsageError(f"{cfg.task} needs at least one value in {key}")
+        if len(set(values)) != len(values):
+            raise UsageError(f"{key} repeats a value: {','.join(values)}")
+    for m in cfg.methods:
+        if m not in ("algorithm1", "plugin"):
+            raise UsageError(f"unknown method {m!r} in methods; expected algorithm1 or plugin")
+    try:
+        return {name: get_metric(name) for name in cfg.metrics}
+    except ValueError as exc:
+        raise UsageError(f"metrics: {exc}") from None
+
+
 def _ensure_out_dir(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -421,13 +439,9 @@ def cmd_convergence(cfg):
     cfg.require_synthetic()
     if cfg.noise_model == "gaussian":
         raise UsageError("the convergence experiment needs a binary noise model")
-    for key in ("ratios", "methods", "metrics"):
-        if not getattr(cfg, key):
-            raise UsageError(f"convergence needs at least one value in {key}")
-    for m in cfg.methods:
-        if m not in ("algorithm1", "plugin"):
-            raise UsageError(f"unknown method {m!r}; expected algorithm1 or plugin")
-    specs = {name: get_metric(name) for name in cfg.metrics}
+    if not cfg.ratios:
+        raise UsageError("convergence needs at least one value in ratios")
+    specs = _experiment_specs(cfg)
     _ensure_out_dir(cfg)
 
     # one problem and one fresh test split per repeat, shared by every
@@ -485,6 +499,7 @@ def cmd_convergence(cfg):
 
 def cmd_compare(cfg):
     """Both methods on a dataset at the configured mask ratio."""
+    specs = _experiment_specs(cfg)
     _ensure_out_dir(cfg)
     if cfg.data_path is None:
         raise UsageError("compare needs data_path pointing at a dataset file")
@@ -496,21 +511,17 @@ def cmd_compare(cfg):
             raise UsageError("test dataset dimensions do not match the training data")
         split = "test"
     _binary_required(Y_e, "evaluation")
-    specs = {name: get_metric(name) for name in cfg.metrics}
 
     def run_one(key):
         method, rep = key
         return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, method, specs, X_e, Y_e)
 
-    methods = tuple(m for m in cfg.methods if m in ("algorithm1", "plugin"))
-    if not methods:
-        raise UsageError("compare needs at least one of the methods algorithm1, plugin")
-    keys = [(method, rep) for method in methods for rep in range(cfg.repeats)]
+    keys = [(method, rep) for method in cfg.methods for rep in range(cfg.repeats)]
     outcomes = _parallel_map(run_one, keys)
 
     chash = cfg.config_hash()
     rows = []
-    for method in sorted(methods):
+    for method in sorted(cfg.methods):
         for name in cfg.metrics:
             mean, sd = _mean_sd([outcomes[(method, rep)][name] for rep in range(cfg.repeats)])
             rows.append(ResultRow(method, name, split, mean, sd, chash))

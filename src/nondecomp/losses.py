@@ -79,7 +79,7 @@ class LogisticLoss(ProperLoss):
 
     def hess_t(self, t, y):
         s = sigmoid(t)
-        return s * (1.0 - s) + 0.0 * _signed(y)
+        return s * (1.0 - s)
 
 
 class SquaredLoss(ProperLoss):
@@ -97,7 +97,7 @@ class SquaredLoss(ProperLoss):
 
     def hess_t(self, t, y):
         ys = _signed(y)
-        return 2.0 * ys * ys + 0.0 * np.asarray(t, dtype=float)
+        return 2.0 * ys * ys
 
 
 class ExponentialLoss(ProperLoss):
@@ -138,7 +138,7 @@ class GaussianLoss(ProperLoss):
         return np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
 
     def hess_t(self, t, y):
-        return np.ones_like(np.asarray(t, dtype=float) + 0.0 * np.asarray(y, dtype=float))
+        return np.ones_like(np.asarray(t, dtype=float))
 
 
 class PULossWrapper:

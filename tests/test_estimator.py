@@ -10,9 +10,8 @@ from nondecomp.estimator import (
     FactoredModel,
     ObservationSet,
     SolverConfig,
-    _column_fit,
     _damped_newton,
-    _fit_w2,
+    _factored_objective,
     default_lambda,
     fit_alt_min,
     fit_plugin_baseline,
@@ -24,7 +23,6 @@ from nondecomp.estimator import (
     prox_nuclear,
     recovery_error,
 )
-from nondecomp import estimator
 from nondecomp.losses import LogisticLoss, PULossWrapper, get_loss, sigmoid
 
 
@@ -355,7 +353,7 @@ class TestFitProxGrad:
 class TestFitAltMin:
     def test_matches_least_squares_at_full_rank(self):
         # squared loss, fully observed real-valued labels, no penalty:
-        # alternating minimization must match the per-column normal equations
+        # the factored fit must match the per-column normal equations
         rng = np.random.default_rng(13)
         n, d, L = 10, 8, 5
         X = rng.normal(size=(n, d))
@@ -409,77 +407,82 @@ class TestFitAltMin:
         _, r3 = fit_alt_min(X, obs, cfg, k=2)
         assert r3.stop_reason == "max_iters" and r3.iterations == 2 and not r3.converged
 
+    @pytest.mark.parametrize("lam", [0.02, 0.0])
+    def test_pu_loss_fully_observed_converges(self, lam):
+        # labels thinned as the PU correction assumes, so the corrected
+        # risk stays bounded below even without a penalty
+        from nondecomp.sampler import PUSpec, SyntheticSpec, generate_problem, pu_flip
 
-class TestFitW2:
-    """The alt_min W2 half-step, one damped Newton over all columns,
-    against per-column fits of the same objective."""
-
-    def instance(self, seed, loss_name="logistic", short_column=True):
-        """A = X @ W1, observations and a starting W2 with L = 6, k = 3:
-        column 0 has no entries, and column 1 keeps only k - 1 of its
-        entries when ``short_column`` is set."""
-        rng = np.random.default_rng(seed)
-        X, obs = random_instance(rng, 30, 4, 6, frac=0.6, loss=loss_name)
-        keep = obs.cols != 0
-        if short_column:
-            keep[np.flatnonzero(obs.cols == 1)[2:]] = False
-        obs = ObservationSet(30, 6, obs.rows[keep], obs.cols[keep], obs.values[keep])
-        A = X @ rng.normal(size=(4, 3))
-        W2 = rng.normal(size=(6, 3))
-        return A, obs, W2
-
-    def per_column(self, A, obs, loss, lam, W2):
-        out = W2.copy()
-        for j in range(obs.L):
-            idx = np.flatnonzero(obs.cols == j)
-            if idx.size == 0:
-                if lam > 0:
-                    out[j] = 0.0
-                continue
-            out[j] = _column_fit(
-                A[obs.rows[idx]], obs.values[idx], loss,
-                reg=lam, loss_scale=1.0 / obs.size, w0=W2[j], max_iter=100,
-            )
-        return out
-
-    @pytest.mark.parametrize("loss, lam", [
-        (LogisticLoss(), 0.05),
-        (PULossWrapper(LogisticLoss(), 0.3), 0.02),
-    ])
-    def test_matches_per_column_fits(self, loss, lam):
-        A, obs, W2 = self.instance(41)
-        assert np.count_nonzero(obs.cols == 0) == 0
-        assert 0 < np.count_nonzero(obs.cols == 1) < W2.shape[1]
-        batched = _fit_w2(A, obs, loss, lam, W2, max_iter=100)
-        np.testing.assert_allclose(batched, self.per_column(A, obs, loss, lam, W2),
-                                   rtol=0, atol=1e-8)
-        np.testing.assert_array_equal(batched[0], 0.0)
-
-    def test_matches_per_column_fits_without_penalty(self):
-        # no penalty: every column needs k entries for a unique minimizer,
-        # and an empty column keeps its starting row
-        A, obs, W2 = self.instance(42, "gaussian", short_column=False)
-        loss = get_loss("gaussian")
-        batched = _fit_w2(A, obs, loss, 0.0, W2, max_iter=100)
-        np.testing.assert_allclose(batched, self.per_column(A, obs, loss, 0.0, W2),
-                                   rtol=0, atol=1e-8)
-        np.testing.assert_array_equal(batched[0], W2[0])
-
-    def test_singular_stacked_solve_falls_back_to_gradient(self, monkeypatch):
-        calls = []
-
-        def singular(a, b):
-            calls.append(a.shape)
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(estimator.np.linalg, "solve", singular)
-        X, obs = random_instance(np.random.default_rng(43), 12, 4, 5)
-        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.05, max_iters=10, seed=1)
+        spec = SyntheticSpec(n=40, L=8, d=4, rank=2, seed=1,
+                             noise_model="bernoulli_logistic", wstar_scale=0.5)
+        X, _, Y = generate_problem(spec)
+        n, L = Y.shape
+        rows = np.repeat(np.arange(n), L)
+        cols = np.tile(np.arange(L), n)
+        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, PUSpec(0.3), seed=1).ravel())
+        cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=lam, seed=1)
         model, report = fit_alt_min(X, obs, cfg, k=2)
-        assert calls and all(shape == (5, 2, 2) for shape in calls)
         assert np.all(np.isfinite(model.W1)) and np.all(np.isfinite(model.W2))
-        trace = np.asarray(report.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-10) and trace[-1] < trace[0]
+        assert np.all(np.diff(report.objective_trace) <= 1e-10)
+        assert report.stop_reason == "rel_tol" and report.converged
+        assert report.iterations == len(report.objective_trace) - 1
+
+
+class TestFactoredObjective:
+    """The alt_min objective over the packed factors [W1; W2], against
+    finite differences and an explicit Jacobian."""
+
+    LOSSES = [
+        ("logistic", LogisticLoss()),
+        ("squared", get_loss("squared")),
+        ("pu_logistic", PULossWrapper(LogisticLoss(), 0.3)),
+        # negative curvature on positives with large scores, where h is clipped
+        ("pu_exponential", PULossWrapper(get_loss("exponential"), 0.3)),
+    ]
+
+    def instance(self, seed, lam, loss):
+        rng = np.random.default_rng(seed)
+        n, d, L, k = 7, 3, 4, 2
+        X, obs = random_instance(rng, n, d, L, frac=0.6)
+        w = rng.normal(size=(d + L, k))
+        fval, gauss_newton = _factored_objective(X, obs, loss, lam)
+        return X, obs, w, fval, gauss_newton
+
+    @pytest.mark.parametrize("lam", [0.05, 0.0])
+    @pytest.mark.parametrize("name, loss", LOSSES)
+    def test_gradient_matches_finite_differences(self, name, loss, lam):
+        _, _, w, fval, gauss_newton = self.instance(51, lam, loss)
+        G, _ = gauss_newton(w)
+        h = 1e-6
+        for a, b in np.ndindex(*w.shape):
+            wp, wm = w.copy(), w.copy()
+            wp[a, b] += h
+            wm[a, b] -= h
+            fd = (fval(wp) - fval(wm)) / (2 * h)
+            assert abs(G[a, b] - fd) / (1 + abs(fd)) < 1e-6
+
+    @pytest.mark.parametrize("lam", [0.05, 0.0])
+    @pytest.mark.parametrize("name, loss", LOSSES)
+    def test_matvec_matches_explicit_gauss_newton(self, name, loss, lam):
+        X, obs, w, _, gauss_newton = self.instance(52, lam, loss)
+        d = X.shape[1]
+        W1, W2 = w[:d], w[d:]
+        A = X @ W1
+        # J[e] is the derivative of the score A[r] . W2[c] of entry e = (r, c)
+        J = np.zeros((obs.size, w.size))
+        for e, (r, c) in enumerate(zip(obs.rows, obs.cols)):
+            dW1 = np.outer(X[r], W2[c])
+            dW2 = np.zeros_like(W2)
+            dW2[c] = A[r]
+            J[e] = np.vstack([dW1, dW2]).ravel()
+        t = np.einsum("ij,ij->i", A[obs.rows], W2[obs.cols])
+        hess = np.maximum(loss.hess_t(t, obs.values), 0.0) / obs.size
+        M = J.T @ (hess[:, None] * J) + lam * np.eye(w.size)
+        _, matvec = gauss_newton(w)
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            S = rng.normal(size=w.shape)
+            np.testing.assert_allclose(matvec(S).ravel(), M @ S.ravel(), rtol=1e-10, atol=1e-10)
 
 
 class TestPluginBaseline:

@@ -427,6 +427,25 @@ class TestCli:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("override, key", [
+        ("--metrics=", "metrics"),
+        ("--metrics=micro_f1,f2", "metrics"),
+        ("--methods=", "methods"),
+        ("--methods=algorithm1,bogus", "methods"),
+        ("--methods=plugin,plugin", "methods"),
+    ])
+    def test_compare_rejects_methods_and_metrics_before_work(
+        self, tmp_path, capsys, override, key
+    ):
+        data = self.write_dataset_file(tmp_path, "n80.txt", 80, 4, 8)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\ndata_path = {data}\nrepeats = 1\n",
+        )
+        assert main(["compare", cfg, override]) == 2
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error:") and key in error_line
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("override, key", [
         ("--omegas=5,5,5", "omegas"),
         ("--omegas=100,100,200,400", "omegas"),
         ("--grid_points=2", "grid_points"),
