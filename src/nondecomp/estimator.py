@@ -5,7 +5,8 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
 
 * ``fit_prox_grad`` -- proximal gradient with backtracking on the convex
   objective, including the experimental variant that penalizes the nuclear
-  norm of the score matrix instead of the parameter matrix.
+  norm of the score matrix instead of the parameter matrix, solved exactly
+  on the orthonormal factor of the features.
 * ``fit_alt_min`` -- damped Gauss-Newton-CG steps on both factors of the
   rank-k factorization at once, with the standard Frobenius surrogate of
   the nuclear penalty (the name is kept from alternating minimization).
@@ -264,58 +265,43 @@ def _rank_of(A):
     return int(np.count_nonzero(s > _RANK_CUTOFF * s[0]))
 
 
-def _prox_score_nuclear(A, tau, qr_R, steps=20):
-    """Approximate prox of tau * ||X V||_* at A, via the QR trick.
-
-    With X = Q R (reduced), ||X V||_* equals ||R V||_*, so the subproblem
-    is solved in the substituted variable U = R V by ``steps`` inner
-    proximal-gradient iterations, warm-started at V = A.
-    """
-    smin = np.linalg.svd(qr_R, compute_uv=False)[-1]
-    if smin <= 0:
-        raise NumericalError("score-norm mode needs features with full column rank")
-    # smooth-part Lipschitz constant is 1/smin^2, so the safe step is its inverse
-    eta = smin * smin
-    U = qr_R @ A
-    for _ in range(steps):
-        V = np.linalg.solve(qr_R, U)
-        grad = np.linalg.solve(qr_R.T, V - A)
-        U = prox_nuclear(U - eta * grad, eta * tau)
-    return np.linalg.solve(qr_R, U)
+def _small_change(F, F_new, F_start, rel_tol):
+    """The ``rel_tol`` stopping test of both fitters. The change is judged
+    against the smaller of |F| and the starting objective, so a run-away
+    objective (PU-corrected losses are unbounded below) does not pass as
+    converged once |F| is large; on a nonnegative nonincreasing trace the
+    scale is max(1, |F|)."""
+    return abs(F - F_new) <= rel_tol * max(1.0, min(abs(F), abs(F_start)))
 
 
 def fit_prox_grad(X, obs, config):
     """Minimize the trace-regularized objective by proximal gradient descent.
 
     Uses backtracking line search on the smooth part with the configured
-    shrink/growth factors, plus a monotonicity safeguard on the full
-    objective (required because the score-norm prox is approximate). Stops
-    when the relative objective change drops below ``rel_tol`` or after
-    ``max_iters`` iterations.
+    shrink/growth factors. Stops when the relative objective change drops
+    below ``rel_tol`` or after ``max_iters`` iterations.
+
+    In score-norm mode the penalty is ||X W||_*. With the reduced
+    factorization X = Q R, X W = Q U and ||X W||_* = ||U||_* for U = R W,
+    so the same loop runs on features Q with the exact singular-value
+    prox on U, and W = R^-1 U is returned. This needs X of full column
+    rank; otherwise NumericalError is raised before any iteration.
 
     Returns (DenseModel, FitReport); the objective trace is nonincreasing.
     """
     X = _check_X(X, obs)
-    W = np.zeros((X.shape[1], obs.L))
     lam = _resolve_lambda(config, obs)
     loss = config.loss
-    score_mode = config.regularizer_mode == "score_norm"
-    qr_R = None
-    if score_mode:
-        qr_R = np.linalg.qr(X, mode="r")
-
-    def reg_of(Wm):
-        if score_mode:
-            return nuclear_norm(qr_R @ Wm)
-        return nuclear_norm(Wm)
-
-    def prox_of(A, tau):
-        if score_mode:
-            return _prox_score_nuclear(A, tau, qr_R)
-        return prox_nuclear(A, tau)
+    R = None
+    if config.regularizer_mode == "score_norm":
+        # R is d x d, or n x d when n < d; either way its rank is that of X
+        X, R = np.linalg.qr(X)
+        if _rank_of(R) < R.shape[1]:
+            raise NumericalError("score-norm mode needs features with full column rank")
+    W = np.zeros((X.shape[1], obs.L))
 
     f = _empirical_risk(X, obs, W, loss)
-    F = f + lam * reg_of(W)
+    F = f + lam * nuclear_norm(W)
     trace = [F]
     step = config.step_init
     stop_reason = "max_iters"
@@ -324,13 +310,15 @@ def fit_prox_grad(X, obs, config):
         G = grad_empirical(X, obs, W, loss)
         accepted = False
         while step >= 1e-18:
-            W_new = prox_of(W - step * G, step * lam)
+            W_new = prox_nuclear(W - step * G, step * lam)
             diff = W_new - W
             f_new = _empirical_risk(X, obs, W_new, loss)
-            F_new = f_new + lam * reg_of(W_new)
+            F_new = f_new + lam * nuclear_norm(W_new)
             if math.isnan(F_new):
                 raise NumericalError(f"objective became NaN at iteration {it}")
             quad = f + float(np.sum(G * diff)) + float(np.sum(diff * diff)) / (2.0 * step)
+            # the prox is exact, so the majorization alone implies descent;
+            # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
                 accepted = True
                 break
@@ -339,13 +327,16 @@ def fit_prox_grad(X, obs, config):
             stop_reason = "line_search"
             break
         trace.append(F_new)
-        small_change = abs(F - F_new) <= config.rel_tol * max(1.0, abs(F))
+        small_change = _small_change(F, F_new, trace[0], config.rel_tol)
         W, f, F = W_new, f_new, F_new
         step *= config.step_growth
         if small_change:
             stop_reason = "rel_tol"
             break
 
+    if R is not None:
+        # the loop ran in U = R W
+        W = np.linalg.solve(R, W)
     report = FitReport(
         objective_trace=trace,
         iterations=len(trace) - 1,
@@ -541,7 +532,7 @@ def fit_alt_min(X, obs, config, k):
     for _ in range(config.max_iters):
         w, F_new = _damped_newton(fval, linearize, w, F, max_iter=1, gtol=1e-12)
         trace.append(F_new)
-        small_change = abs(F - F_new) <= config.rel_tol * max(1.0, abs(F))
+        small_change = _small_change(F, F_new, trace[0], config.rel_tol)
         F = F_new
         if small_change:
             stop_reason = "rel_tol"

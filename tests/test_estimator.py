@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nondecomp.estimator import (
     DenseModel,
     FactoredModel,
+    NumericalError,
     ObservationSet,
     SolverConfig,
     _damped_newton,
@@ -349,6 +350,39 @@ class TestFitProxGrad:
         assert np.all(np.diff(trace) <= 1e-10)
         assert np.all(np.isfinite(model.W))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_score_norm_reaches_prox_fixed_point(self, seed):
+        # column scales spanning two decades make X far from orthonormal,
+        # so an inexact score-norm prox stalls visibly above the minimum
+        rng = np.random.default_rng(seed)
+        X, obs = random_instance(rng, 60, 5, 10)
+        X = X * np.logspace(-1, 1, 5)
+        lam = 0.003
+        cfg = SolverConfig(
+            loss=get_loss("logistic"), lambda_reg=lam,
+            regularizer_mode="score_norm", rel_tol=1e-10,
+        )
+        model, report = fit_prox_grad(X, obs, cfg)
+        # optimality of U = R W for risk(Q U) + lam * ||U||_*, with X = Q R
+        Q, R = np.linalg.qr(X)
+        U = R @ model.W
+        G = grad_empirical(Q, obs, U, cfg.loss)
+        residual = np.linalg.norm(U - prox_nuclear(U - G, lam))
+        assert residual / max(1.0, np.linalg.norm(U)) <= 1e-6
+        assert report.objective_trace[-1] == pytest.approx(
+            objective(X, obs, model.W, cfg), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("n, d, repeat_column", [(4, 6, False), (8, 3, True)])
+    def test_score_norm_rejects_rank_deficient_features(self, n, d, repeat_column):
+        rng = np.random.default_rng(17)
+        X, obs = random_instance(rng, n, d, 3)
+        if repeat_column:
+            X[:, -1] = X[:, 0]
+        cfg = SolverConfig(loss=get_loss("logistic"), regularizer_mode="score_norm")
+        with pytest.raises(NumericalError, match="full column rank"):
+            fit_prox_grad(X, obs, cfg)
+
 
 class TestFitAltMin:
     def test_matches_least_squares_at_full_rank(self):
@@ -426,6 +460,24 @@ class TestFitAltMin:
         assert np.all(np.diff(report.objective_trace) <= 1e-10)
         assert report.stop_reason == "rel_tol" and report.converged
         assert report.iterations == len(report.objective_trace) - 1
+
+    def test_pu_runaway_objective_is_not_converged(self):
+        # noise-free labels leave the PU-corrected risk unbounded below;
+        # judged against |F| alone the run-away trace passes rel_tol
+        # (here after 221 iterations, at F about -7e4)
+        from nondecomp.sampler import PUSpec, SyntheticSpec, generate_problem, pu_flip
+
+        spec = SyntheticSpec(n=100, L=12, d=4, rank=2, seed=0, noise_model="noise_free_sign")
+        X, _, Y = generate_problem(spec)
+        n, L = Y.shape
+        rows = np.repeat(np.arange(n), L)
+        cols = np.tile(np.arange(L), n)
+        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, PUSpec(0.3), seed=0).ravel())
+        cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
+                           max_iters=300, seed=0)
+        _, report = fit_alt_min(X, obs, cfg, k=2)
+        assert report.objective_trace[-1] < 0.0
+        assert report.stop_reason == "max_iters" and not report.converged
 
 
 class TestFactoredObjective:
