@@ -265,13 +265,37 @@ def _rank_of(A):
     return int(np.count_nonzero(s > _RANK_CUTOFF * s[0]))
 
 
-def _small_change(F, F_new, F_start, rel_tol):
-    """The ``rel_tol`` stopping test of both fitters. The change is judged
-    against the smaller of |F| and the starting objective, so a run-away
-    objective (PU-corrected losses are unbounded below) does not pass as
-    converged once |F| is large; on a nonnegative nonincreasing trace the
-    scale is max(1, |F|)."""
-    return abs(F - F_new) <= rel_tol * max(1.0, min(abs(F), abs(F_start)))
+def _descend(step, w, F, max_iters, rel_tol):
+    """The outer loop of every fitter. From w, with objective F, apply
+    ``step(w, F)``, which returns the next (w, F), or None when its line
+    search fails. Returns (w, objective trace, stop reason): "rel_tol",
+    "line_search" or "max_iters". The change is judged against the
+    smaller of |F| and the starting objective, so a run-away objective
+    (PU-corrected losses are unbounded below) does not pass as converged
+    once |F| is large; on a nonnegative nonincreasing trace the scale is
+    max(1, |F|)."""
+    trace = [F]
+    for _ in range(max_iters):
+        nxt = step(w, F)
+        if nxt is None:
+            return w, trace, "line_search"
+        w, F_new = nxt
+        trace.append(F_new)
+        if abs(F - F_new) <= rel_tol * max(1.0, min(abs(F), abs(trace[0]))):
+            return w, trace, "rel_tol"
+        F = F_new
+    return w, trace, "max_iters"
+
+
+def _report(trace, stop_reason, W):
+    """FitReport of a ``_descend`` run that ended at parameter matrix W."""
+    return FitReport(
+        objective_trace=trace,
+        iterations=len(trace) - 1,
+        converged=stop_reason == "rel_tol",
+        final_rank=_rank_of(W),
+        stop_reason=stop_reason,
+    )
 
 
 def fit_prox_grad(X, obs, config):
@@ -300,51 +324,36 @@ def fit_prox_grad(X, obs, config):
             raise NumericalError("score-norm mode needs features with full column rank")
     W = np.zeros((X.shape[1], obs.L))
 
+    # the step size and the smooth part f at W carry over between steps
     f = _empirical_risk(X, obs, W, loss)
-    F = f + lam * nuclear_norm(W)
-    trace = [F]
     step = config.step_init
-    stop_reason = "max_iters"
 
-    for it in range(1, config.max_iters + 1):
+    def prox_step(W, F):
+        nonlocal f, step
         G = grad_empirical(X, obs, W, loss)
-        accepted = False
         while step >= 1e-18:
             W_new = prox_nuclear(W - step * G, step * lam)
             diff = W_new - W
             f_new = _empirical_risk(X, obs, W_new, loss)
             F_new = f_new + lam * nuclear_norm(W_new)
             if math.isnan(F_new):
-                raise NumericalError(f"objective became NaN at iteration {it}")
+                raise NumericalError("objective became NaN in a proximal step")
             quad = f + float(np.sum(G * diff)) + float(np.sum(diff * diff)) / (2.0 * step)
             # the prox is exact, so the majorization alone implies descent;
             # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
-                accepted = True
-                break
+                f = f_new
+                step *= config.step_growth
+                return W_new, F_new
             step *= config.step_shrink
-        if not accepted:
-            stop_reason = "line_search"
-            break
-        trace.append(F_new)
-        small_change = _small_change(F, F_new, trace[0], config.rel_tol)
-        W, f, F = W_new, f_new, F_new
-        step *= config.step_growth
-        if small_change:
-            stop_reason = "rel_tol"
-            break
+        return None
 
+    F = f + lam * nuclear_norm(W)
+    W, trace, stop_reason = _descend(prox_step, W, F, config.max_iters, config.rel_tol)
     if R is not None:
         # the loop ran in U = R W
         W = np.linalg.solve(R, W)
-    report = FitReport(
-        objective_trace=trace,
-        iterations=len(trace) - 1,
-        converged=stop_reason == "rel_tol",
-        final_rank=_rank_of(W),
-        stop_reason=stop_reason,
-    )
-    return DenseModel(W=W), report
+    return DenseModel(W=W), _report(trace, stop_reason, W)
 
 
 def _by_column(obs):
@@ -383,18 +392,21 @@ def _cg_solve(matvec, B, tol, max_iter=40):
     return S
 
 
-def _damped_newton(fval, linearize, w, f, max_iter, gtol):
-    """Minimize fval from w, where f = fval(w), by damped Newton steps.
+def _newton_step(fval, linearize, gtol):
+    """One damped Newton step on fval, as a function step(w, f) of the
+    iterate w and f = fval(w), for ``_descend``.
 
     ``linearize(w)`` returns the gradient g at w and a function mapping g
     to the Newton direction, so curvature is only formed once the gradient
-    test has not already stopped the loop. Each step backtracks by halving
-    until the Armijo condition holds. Returns the final (w, fval(w)).
+    test has passed; below ``gtol`` the step returns (w, f) unchanged.
+    Otherwise it backtracks by halving until the Armijo condition holds
+    and returns (w_new, fval(w_new)), or None once the step falls below
+    1e-12.
     """
-    for _ in range(max_iter):
+    def newton_step(w, f):
         g, newton_direction = linearize(w)
         if np.linalg.norm(g) < gtol:
-            break
+            return w, f
         direction = newton_direction(g)
         slope = float(np.vdot(g, direction))
         if slope <= 0.0:
@@ -406,19 +418,16 @@ def _damped_newton(fval, linearize, w, f, max_iter, gtol):
             w_new = w - step * direction
             f_new = fval(w_new)
             if f_new <= f - 1e-4 * step * slope:
-                break
+                return w_new, f_new
             step *= 0.5
-        else:
-            break
-        improvement = f - f_new
-        w, f = w_new, f_new
-        if improvement <= 1e-14 * max(1.0, abs(f)):
-            break
-    return w, f
+        return None
+
+    return newton_step
 
 
-def _column_fit(A, yv, loss, reg, loss_scale, w0, max_iter):
-    """Minimize loss_scale * sum(loss(A w, y)) + reg/2 * ||w||^2 over w."""
+def _column_fit(A, yv, loss, reg, loss_scale):
+    """Minimize loss_scale * sum(loss(A w, y)) + reg/2 * ||w||^2 over w,
+    from w = 0 with at most 50 Newton steps."""
     eye = np.eye(A.shape[1])
 
     def fval(wv):
@@ -439,7 +448,9 @@ def _column_fit(A, yv, loss, reg, loss_scale, w0, max_iter):
 
         return g, newton_direction
 
-    return _damped_newton(fval, linearize, w0, fval(w0), max_iter, gtol=1e-10)[0]
+    w0 = np.zeros(A.shape[1])
+    step = _newton_step(fval, linearize, gtol=1e-10)
+    return _descend(step, w0, fval(w0), max_iters=50, rel_tol=1e-14)[0]
 
 
 def _factored_objective(X, obs, loss, lam):
@@ -526,27 +537,10 @@ def fit_alt_min(X, obs, config, k):
     F = fval(w)
     if math.isnan(F):
         raise NumericalError("objective NaN at initialization")
-    trace = [F]
-    stop_reason = "max_iters"
-
-    for _ in range(config.max_iters):
-        w, F_new = _damped_newton(fval, linearize, w, F, max_iter=1, gtol=1e-12)
-        trace.append(F_new)
-        small_change = _small_change(F, F_new, trace[0], config.rel_tol)
-        F = F_new
-        if small_change:
-            stop_reason = "rel_tol"
-            break
-
+    step = _newton_step(fval, linearize, gtol=1e-12)
+    w, trace, stop_reason = _descend(step, w, F, config.max_iters, config.rel_tol)
     model = FactoredModel(W1=w[:d], W2=w[d:])
-    report = FitReport(
-        objective_trace=trace,
-        iterations=len(trace) - 1,
-        converged=stop_reason == "rel_tol",
-        final_rank=_rank_of(model.dense()),
-        stop_reason=stop_reason,
-    )
-    return model, report
+    return model, _report(trace, stop_reason, model.dense())
 
 
 def fit_plugin_baseline(X, obs, ridge):
@@ -568,10 +562,7 @@ def fit_plugin_baseline(X, obs, ridge):
             continue
         A = X[obs.rows[idx]]
         yv = obs.values[idx]
-        W[:, j] = _column_fit(
-            A, yv, loss, reg=ridge, loss_scale=1.0 / idx.size,
-            w0=np.zeros(X.shape[1]), max_iter=50,
-        )
+        W[:, j] = _column_fit(A, yv, loss, reg=ridge, loss_scale=1.0 / idx.size)
     return DenseModel(W=W)
 
 

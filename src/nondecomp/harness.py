@@ -282,15 +282,20 @@ def _read_model(cfg, d, L):
     return model
 
 
+def _distinct_values(cfg, key):
+    """Exit 2 naming the list-valued key when it is empty or repeats a value."""
+    values = getattr(cfg, key)
+    if not values:
+        raise UsageError(f"{cfg.task} needs at least one value in {key}")
+    if len(set(values)) != len(values):
+        raise UsageError(f"{key} repeats a value: {','.join(map(str, values))}")
+
+
 def _experiment_specs(cfg):
     """The metric specs of a convergence or compare run, by name, after
     checking that its methods and metrics are nonempty, distinct and known."""
     for key in ("methods", "metrics"):
-        values = getattr(cfg, key)
-        if not values:
-            raise UsageError(f"{cfg.task} needs at least one value in {key}")
-        if len(set(values)) != len(values):
-            raise UsageError(f"{key} repeats a value: {','.join(values)}")
+        _distinct_values(cfg, key)
     for m in cfg.methods:
         if m not in ("algorithm1", "plugin"):
             raise UsageError(f"unknown method {m!r} in methods; expected algorithm1 or plugin")
@@ -301,7 +306,10 @@ def _experiment_specs(cfg):
 
 
 def _ensure_out_dir(cfg):
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from None
 
 
 def _model_path(cfg):
@@ -325,7 +333,6 @@ def _mean_sd(values):
 
 def cmd_synth(cfg):
     """Generate a synthetic problem and export it in the dataset format."""
-    _ensure_out_dir(cfg)
     spec = _synthetic_spec(cfg, cfg.seed)
     if spec.noise_model == "gaussian":
         raise UsageError("synth export needs a binary noise model")
@@ -333,6 +340,7 @@ def cmd_synth(cfg):
     features = [[(j, float(X[i, j])) for j in range(cfg.d)] for i in range(cfg.n)]
     labels = [set(np.flatnonzero(Y[i] == 1).tolist()) for i in range(cfg.n)]
     ds = SparseDataset(n=cfg.n, d=cfg.d, L=cfg.L, features=features, labels=labels)
+    _ensure_out_dir(cfg)
     data_path = os.path.join(cfg.out_dir, "dataset.txt")
     with open(data_path, "w") as fh:
         write_dataset(ds, fh)
@@ -345,10 +353,10 @@ def cmd_synth(cfg):
 
 def cmd_fit(cfg):
     """Fit the configured solver and persist the model and objective trace."""
-    _ensure_out_dir(cfg)
     prob = _load_problem(cfg, cfg.seed)
     obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
+    _ensure_out_dir(cfg)
     path = _model_path(cfg)
     with open(path, "w") as fh:
         save_model(model, fh)
@@ -410,7 +418,6 @@ def _eval_data(cfg):
 
 def cmd_eval(cfg):
     """Evaluate a thresholded model on the evaluation entries; append result rows."""
-    _ensure_out_dir(cfg)
     X_e, Y_e, split = _eval_data(cfg)
     model = _read_model(cfg, X_e.shape[1], Y_e.shape[1])
     if model.theta is None:
@@ -427,6 +434,7 @@ def cmd_eval(cfg):
         )
         flag = f" degenerate_groups={info.degenerate_groups}" if info.degenerate_groups else ""
         print(f"eval: {name} [{split}] = {info.value:.6g}{flag}")
+    _ensure_out_dir(cfg)
     results_path = os.path.join(cfg.out_dir, "results.csv")
     append_results_csv(out_rows, results_path)
     return {"rows": out_rows, "results_path": results_path}
@@ -439,10 +447,8 @@ def cmd_convergence(cfg):
     cfg.require_synthetic()
     if cfg.noise_model == "gaussian":
         raise UsageError("the convergence experiment needs a binary noise model")
-    if not cfg.ratios:
-        raise UsageError("convergence needs at least one value in ratios")
+    _distinct_values(cfg, "ratios")
     specs = _experiment_specs(cfg)
-    _ensure_out_dir(cfg)
 
     # one problem and one fresh test split per repeat, shared by every
     # (method, ratio) trial of that repeat
@@ -472,6 +478,7 @@ def cmd_convergence(cfg):
                 summary[(method, name, ratio)] = _mean_sd(vals)
 
     chash = cfg.config_hash()
+    _ensure_out_dir(cfg)
     csv_path = os.path.join(cfg.out_dir, "convergence.csv")
     with open(csv_path, "w") as fh:
         fh.write("method,metric_name,ratio,mean,sd,config_hash\n")
@@ -500,7 +507,6 @@ def cmd_convergence(cfg):
 def cmd_compare(cfg):
     """Both methods on a dataset at the configured mask ratio."""
     specs = _experiment_specs(cfg)
-    _ensure_out_dir(cfg)
     if cfg.data_path is None:
         raise UsageError("compare needs data_path pointing at a dataset file")
     prob = _load_problem(cfg, cfg.seed)
@@ -525,6 +531,7 @@ def cmd_compare(cfg):
         for name in cfg.metrics:
             mean, sd = _mean_sd([outcomes[(method, rep)][name] for rep in range(cfg.repeats)])
             rows.append(ResultRow(method, name, split, mean, sd, chash))
+    _ensure_out_dir(cfg)
     csv_path = os.path.join(cfg.out_dir, "compare.csv")
     with open(csv_path, "w") as fh:
         write_results_csv(rows, fh)
@@ -570,7 +577,6 @@ def cmd_rate_check(cfg):
         )
     if any(not 1 <= m <= total for m in grid):
         raise UsageError(f"omega grid must lie in [1, {total}]")
-    _ensure_out_dir(cfg)
 
     # one problem per repeat, shared by every (mode, omega) fit of that repeat
     problems = {rep: _load_problem(cfg, cfg.seed + rep) for rep in range(cfg.repeats)}
@@ -603,6 +609,7 @@ def cmd_rate_check(cfg):
     slope = float(np.polyfit(log_m, log_err, 1)[0])
 
     chash = cfg.config_hash()
+    _ensure_out_dir(cfg)
     csv_path = os.path.join(cfg.out_dir, "rate_check.csv")
     with open(csv_path, "w") as fh:
         fh.write("mode,omega,error_mean,error_sd,config_hash\n")

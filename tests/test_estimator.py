@@ -11,8 +11,8 @@ from nondecomp.estimator import (
     NumericalError,
     ObservationSet,
     SolverConfig,
-    _damped_newton,
     _factored_objective,
+    _newton_step,
     default_lambda,
     fit_alt_min,
     fit_plugin_baseline,
@@ -127,7 +127,7 @@ class TestDampedNewton:
         w0 = np.array([0.5, 0.01])
         g0, newton_direction = linearize(w0)
         assert np.vdot(g0, newton_direction(g0)) < 0.0
-        w, f = _damped_newton(fval, linearize, w0, fval(w0), max_iter=1, gtol=1e-10)
+        w, f = _newton_step(fval, linearize, gtol=1e-10)(w0, fval(w0))
         step = (w0 - w) / g0
         assert step[0] > 0.0 and step[0] == pytest.approx(step[1], rel=1e-12)
         assert f == fval(w) < fval(w0)
@@ -460,6 +460,21 @@ class TestFitAltMin:
         assert np.all(np.diff(report.objective_trace) <= 1e-10)
         assert report.stop_reason == "rel_tol" and report.converged
         assert report.iterations == len(report.objective_trace) - 1
+
+    def test_failed_line_search_is_not_converged(self):
+        # a loss whose gradient points uphill leaves Armijo no acceptable
+        # step; the fit must stop by line_search, not record the unchanged
+        # objective again and pass rel_tol
+        class UphillLogistic(LogisticLoss):
+            def grad_t(self, t, y):
+                return -super().grad_t(t, y)
+
+        X, obs = random_instance(np.random.default_rng(17), 60, 4, 8)
+        cfg = SolverConfig(loss=UphillLogistic(), lambda_reg=0.05, seed=3)
+        _, report = fit_alt_min(X, obs, cfg, k=2)
+        assert report.stop_reason == "line_search" and report.converged is False
+        trace = report.objective_trace
+        assert len(set(trace)) == len(trace) and report.iterations == len(trace) - 1
 
     def test_pu_runaway_objective_is_not_converged(self):
         # noise-free labels leave the PU-corrected risk unbounded below;

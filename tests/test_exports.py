@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import nondecomp
@@ -15,3 +17,26 @@ def test_every_exported_name_exists():
         if absent:
             missing[info.name] = absent
     assert missing == {}
+
+
+def test_every_private_helper_is_used():
+    # a module-level private name that nothing reads is left over from a deletion
+    package = pathlib.Path(nondecomp.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(private - used) == []

@@ -417,14 +417,37 @@ class TestCli:
         assert f"{task} needs a synthetic problem" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("key", ["ratios", "methods", "metrics"])
-    def test_convergence_empty_list_exit_code(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("override, message", [
+        ("--ratios=", "convergence needs at least one value in ratios"),
+        ("--methods=", "convergence needs at least one value in methods"),
+        ("--metrics=", "convergence needs at least one value in metrics"),
+        ("--ratios=0.3,0.3", "ratios repeats a value: 0.3,0.3"),
+    ], ids=["ratios", "methods", "metrics", "repeated_ratios"])
+    def test_convergence_empty_list_exit_code(self, tmp_path, capsys, override, message):
         cfg = self.write_config(
             tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nrepeats = 1\nratios = 0.5\n",
         )
-        assert main(["convergence", cfg, f"--{key}="]) == 2
-        assert f"convergence needs at least one value in {key}" in capsys.readouterr().err
+        assert main(["convergence", cfg, override]) == 2
+        assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("task, extra", [
+        ("synth", "--n="),
+        ("fit", "--data_path={tmp}/absent.txt"),
+        ("eval", "--data_path={tmp}/absent.txt"),
+        ("compare", "--repeats=1"),
+    ], ids=["synth", "fit", "eval", "compare"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main([task, cfg, extra.format(tmp=tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_out_dir_that_is_a_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, "--solver=plugin"]) == 2
+        assert "cannot create out_dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [
         ("--metrics=", "metrics"),
