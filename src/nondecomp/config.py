@@ -9,6 +9,7 @@ traceable to the exact configuration that produced them.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields
 
 __all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text"]
@@ -52,51 +53,25 @@ def _list_of(parser):
     return convert
 
 
-# field name -> parser applied to the raw text value
-_PARSERS = {
-    "seed": int,
-    "out_dir": str,
-    "n": _opt(int),
-    "L": _opt(int),
-    "d": _opt(int),
-    "rank": _opt(int),
-    "noise_model": str,
-    "theta_star": float,
-    "noise_sigma": float,
-    "wstar_scale": float,
-    "feature_variance": float,
-    "data_path": _opt(str),
-    "test_path": _opt(str),
-    "data_format": str,
-    "ratio": float,
-    "pu_rho": float,
-    "solver": str,
-    "loss": str,
-    "lambda_reg": _opt(float),
-    "lambda_c": float,
-    "regularizer_mode": str,
-    "gamma_clip": _opt(float),
-    "max_iters": int,
-    "rel_tol": float,
-    "step_init": float,
-    "step_shrink": float,
-    "step_growth": float,
-    "k": _opt(int),
-    "ridge": float,
-    "metric": str,
-    "metrics": _list_of(str),
-    "methods": _list_of(str),
-    "ratios": _list_of(float),
-    "repeats": int,
-    "omegas": _opt(_list_of(int)),
-    "grid_points": int,
-    "model_path": _opt(str),
-}
+def _parser(hint):
+    """Converter of a key's raw text, derived from its field's type hint:
+    T parses as T, ``T | None`` maps "" or "none" to None, and
+    ``tuple[T, ...]`` is a comma list."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return _opt(_parser(args[0]))
+    if typing.get_origin(hint) is tuple:
+        return _list_of(args[0])
+    return hint
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description; one instance drives one command."""
+    """Resolved experiment description; one instance drives one command.
+
+    Each field is one config key, and its type hint decides how the key's
+    text is parsed (see ``_parser``).
+    """
 
     task: str = "fit"
     seed: int = 0
@@ -110,11 +85,9 @@ class ExperimentConfig:
     theta_star: float = 0.0
     noise_sigma: float = 1.0
     wstar_scale: float = 1.0
-    feature_variance: float = 1.0
     # dataset input
     data_path: str | None = None
     test_path: str | None = None
-    data_format: str = "mulan_svm"
     # observation process
     ratio: float = 0.2
     pu_rho: float = 0.0
@@ -127,18 +100,15 @@ class ExperimentConfig:
     gamma_clip: float | None = None
     max_iters: int = 300
     rel_tol: float = 1e-6
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_growth: float = 2.0
     k: int | None = None
     ridge: float = 1e-4
     # metrics and experiment grids
     metric: str = "micro_f1"
-    metrics: tuple = ("micro_f1", "accuracy")
-    methods: tuple = ("algorithm1", "plugin")
-    ratios: tuple = (0.05, 0.1, 0.2, 0.3, 0.5)
+    metrics: tuple[str, ...] = ("micro_f1", "accuracy")
+    methods: tuple[str, ...] = ("algorithm1", "plugin")
+    ratios: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.5)
     repeats: int = 5
-    omegas: tuple | None = None
+    omegas: tuple[int, ...] | None = None
     grid_points: int = 4
     # outputs
     model_path: str | None = None
@@ -150,6 +120,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown task {task!r}; expected one of: {', '.join(TASKS)}")
         merged = dict(file_values)
         merged.update(override_values)
+        hints = typing.get_type_hints(cls)
         kwargs = {"task": task}
         for key, raw in merged.items():
             if key == "task":
@@ -159,11 +130,10 @@ class ExperimentConfig:
                         f"config task {raw!r} conflicts with command-line task {task!r}"
                     )
                 continue
-            parser = _PARSERS.get(key)
-            if parser is None:
+            if key not in hints:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                kwargs[key] = parser(raw)
+                kwargs[key] = _parser(hints[key])(raw)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
         cfg = cls(**kwargs)
@@ -182,8 +152,6 @@ class ExperimentConfig:
             raise UsageError("pu_rho must lie in [0, 1)")
         if self.solver not in ("alt_min", "prox_grad", "plugin"):
             raise UsageError("solver must be alt_min, prox_grad, or plugin")
-        if self.feature_variance <= 0:
-            raise UsageError("feature_variance must be positive")
         if self.gamma_clip is not None and not self.gamma_clip > 0:
             raise UsageError("gamma_clip must be positive")
 

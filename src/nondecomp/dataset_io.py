@@ -78,7 +78,7 @@ def _fail(line_no, message):
     raise DatasetFormatError(f"line {line_no}: {message}")
 
 
-def parse_dataset(stream, format="mulan_svm"):
+def parse_dataset(stream):
     """Parse the plain-text sparse dataset format.
 
     Header line "n d L", then one line per instance: comma-separated
@@ -86,8 +86,6 @@ def parse_dataset(stream, format="mulan_svm"):
     0-based. An empty label field (line starting with a space) means no
     positive labels.
     """
-    if format != "mulan_svm":
-        raise ValueError(f"unknown dataset format {format!r}")
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -133,22 +133,17 @@ class SolverConfig:
     regularizer_mode: str = "param_norm"
     max_iters: int = 300
     rel_tol: float = 1e-6
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_growth: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_reg is not None and self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be nonnegative")
+        if self.lambda_reg is not None and not 0 <= self.lambda_reg < math.inf:
+            raise ValueError("lambda_reg must be finite and nonnegative")
+        if not 0 <= self.lambda_c < math.inf:
+            raise ValueError("lambda_c must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.step_growth < 1:
-            raise ValueError("step_growth must be >= 1")
         if self.regularizer_mode not in ("param_norm", "score_norm"):
             raise ValueError("regularizer_mode must be param_norm or score_norm")
 
@@ -301,9 +296,10 @@ def _report(trace, stop_reason, W):
 def fit_prox_grad(X, obs, config):
     """Minimize the trace-regularized objective by proximal gradient descent.
 
-    Uses backtracking line search on the smooth part with the configured
-    shrink/growth factors. Stops when the relative objective change drops
-    below ``rel_tol`` or after ``max_iters`` iterations.
+    Uses backtracking line search on the smooth part: the step starts at
+    1, halves on a rejected trial and doubles on an accepted one. Stops
+    when the relative objective change drops below ``rel_tol`` or after
+    ``max_iters`` iterations.
 
     In score-norm mode the penalty is ||X W||_*. With the reduced
     factorization X = Q R, X W = Q U and ||X W||_* = ||U||_* for U = R W,
@@ -326,7 +322,7 @@ def fit_prox_grad(X, obs, config):
 
     # the step size and the smooth part f at W carry over between steps
     f = _empirical_risk(X, obs, W, loss)
-    step = config.step_init
+    step = 1.0
 
     def prox_step(W, F):
         nonlocal f, step
@@ -343,9 +339,9 @@ def fit_prox_grad(X, obs, config):
             # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
                 f = f_new
-                step *= config.step_growth
+                step *= 2.0
                 return W_new, F_new
-            step *= config.step_shrink
+            step *= 0.5
         return None
 
     F = f + lam * nuclear_norm(W)
@@ -520,6 +516,8 @@ def fit_alt_min(X, obs, config, k):
     Armijo backtracking search on the full objective makes every step
     monotone. The objective trace records the value after every iteration.
     """
+    if config.regularizer_mode != "param_norm":
+        raise ValueError("alt_min supports only regularizer_mode = param_norm")
     X = _check_X(X, obs)
     d = X.shape[1]
     if not 1 <= k <= min(d, obs.L):

@@ -114,16 +114,15 @@ def _synthetic_spec(cfg, seed):
     return SyntheticSpec(
         n=cfg.n, L=cfg.L, d=cfg.d, rank=cfg.rank, seed=seed,
         noise_model=cfg.noise_model, theta_star=cfg.theta_star,
-        noise_sigma=cfg.noise_sigma, feature_variance=cfg.feature_variance,
-        wstar_scale=cfg.wstar_scale,
+        noise_sigma=cfg.noise_sigma, wstar_scale=cfg.wstar_scale,
     )
 
 
-def _read_dataset(cfg, path):
+def _read_dataset(path):
     """Dense features and labels of a dataset file."""
     try:
         with open(path) as fh:
-            ds = parse_dataset(fh, format=cfg.data_format)
+            ds = parse_dataset(fh)
     except OSError as exc:
         raise UsageError(f"cannot read dataset {path!r}: {exc}") from None
     return ds.to_dense_X(), ds.label_matrix()
@@ -131,7 +130,7 @@ def _read_dataset(cfg, path):
 
 def _load_problem(cfg, seed):
     if cfg.data_path is not None:
-        X, Y = _read_dataset(cfg, cfg.data_path)
+        X, Y = _read_dataset(cfg.data_path)
         return Problem(X=X, Y=Y, W_star=None)
     X, W_star, Y = generate_problem(_synthetic_spec(cfg, seed))
     return Problem(X=X, Y=Y, W_star=W_star)
@@ -180,9 +179,6 @@ def _solver_config(cfg, loss, seed, regularizer_mode=None):
         regularizer_mode=regularizer_mode or cfg.regularizer_mode,
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
-        step_init=cfg.step_init,
-        step_shrink=cfg.step_shrink,
-        step_growth=cfg.step_growth,
         seed=seed,
     )
 
@@ -412,8 +408,8 @@ def _eval_data(cfg):
         W_star = gen_lowrank_W(_synthetic_spec(cfg, cfg.seed))
         return (*_fresh_test_split(cfg, W_star, cfg.seed), "test")
     if cfg.test_path is not None:
-        return (*_read_dataset(cfg, cfg.test_path), "test")
-    return (*_read_dataset(cfg, cfg.data_path), "train")
+        return (*_read_dataset(cfg.test_path), "test")
+    return (*_read_dataset(cfg.data_path), "train")
 
 
 def cmd_eval(cfg):
@@ -512,7 +508,7 @@ def cmd_compare(cfg):
     prob = _load_problem(cfg, cfg.seed)
     X_e, Y_e, split = prob.X, prob.Y, "train"
     if cfg.test_path is not None:
-        X_e, Y_e = _read_dataset(cfg, cfg.test_path)
+        X_e, Y_e = _read_dataset(cfg.test_path)
         if X_e.shape[1] != prob.X.shape[1] or Y_e.shape[1] != prob.Y.shape[1]:
             raise UsageError("test dataset dimensions do not match the training data")
         split = "test"

@@ -52,7 +52,6 @@ class SyntheticSpec:
     noise_model: str = "noise_free_sign"
     theta_star: float = 0.0
     noise_sigma: float = 1.0
-    feature_variance: float = 1.0
     wstar_scale: float = 1.0
 
     def __post_init__(self):
@@ -62,10 +61,11 @@ class SyntheticSpec:
             raise ValueError("rank must lie in [1, min(d, L)]")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if not self.feature_variance > 0:
-            raise ValueError("feature_variance must be positive")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
+        for name in ("theta_star", "wstar_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class PUSpec:
 
 
 def gen_features(spec):
-    """Rows drawn iid from a centered isotropic Gaussian with the given variance."""
+    """Rows drawn iid from the standard Gaussian, identity covariance."""
     rng = _rng(spec.seed, _FEATURES)
-    return rng.standard_normal((spec.n, spec.d)) * math.sqrt(spec.feature_variance)
+    return rng.standard_normal((spec.n, spec.d))
 
 
 def gen_lowrank_W(spec):

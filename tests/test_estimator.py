@@ -266,10 +266,18 @@ class TestFitProxGrad:
         np.testing.assert_allclose(model.W, 0.0, atol=1e-12)
         assert report.final_rank == 0
         assert report.stop_reason == "rel_tol" and report.converged
-        # a first step below the backtracking floor is never tried
-        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=50.0, step_init=1e-20)
-        _, report = fit_prox_grad(X, obs, cfg)
-        assert report.stop_reason == "line_search" and report.iterations == 0
+        # with a gradient that points uphill and is a billion times too
+        # large, no trial passes the majorization before the unit step
+        # has halved below the backtracking floor
+        class SteepLogistic(LogisticLoss):
+            def grad_t(self, t, y):
+                return -1e9 * super().grad_t(t, y)
+
+        for lam in (0.01, 1.0, 50.0):
+            cfg = SolverConfig(loss=SteepLogistic(), lambda_reg=lam)
+            _, report = fit_prox_grad(X, obs, cfg)
+            assert report.stop_reason == "line_search" and report.iterations == 0
+            assert not report.converged
         cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.01, max_iters=2)
         _, report = fit_prox_grad(X, obs, cfg)
         assert report.stop_reason == "max_iters" and report.iterations == 2
@@ -494,6 +502,12 @@ class TestFitAltMin:
         assert report.objective_trace[-1] < 0.0
         assert report.stop_reason == "max_iters" and not report.converged
 
+    def test_score_norm_rejected(self):
+        X, obs = random_instance(np.random.default_rng(18), 6, 3, 4)
+        cfg = SolverConfig(regularizer_mode="score_norm")
+        with pytest.raises(ValueError, match="regularizer_mode"):
+            fit_alt_min(X, obs, cfg, k=2)
+
 
 class TestFactoredObjective:
     """The alt_min objective over the packed factors [W1; W2], against
@@ -669,8 +683,10 @@ class TestDefaults:
         assert default_lambda(100, c=2.0) == pytest.approx(0.4)
 
     def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(lambda_reg=-1.0)
+        for key in ("lambda_reg", "lambda_c"):
+            for bad in (-1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=key):
+                    SolverConfig(**{key: bad})
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -53,9 +54,12 @@ class TestConfig:
         )
         assert cfg.n == 10 and cfg.seed == 7
 
-    def test_unknown_key(self):
-        with pytest.raises(UsageError, match="unknown config key"):
-            ExperimentConfig.from_sources("fit", {"bogus": "1"}, {})
+    @pytest.mark.parametrize("key", [
+        "bogus", "step_init", "step_shrink", "step_growth", "data_format", "feature_variance",
+    ])
+    def test_unknown_key(self, key):
+        with pytest.raises(UsageError, match=f"unknown config key {key!r}"):
+            ExperimentConfig.from_sources("fit", {key: "1"}, {})
 
     def test_task_conflict(self):
         with pytest.raises(UsageError, match="conflicts"):
@@ -67,6 +71,30 @@ class TestConfig:
         c = ExperimentConfig(task="fit", seed=2)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_every_key_round_trips(self):
+        # one config with a non-default value in every field, one with every
+        # optional field None and every tuple empty; parsing the canonical
+        # text back runs the parser derived from each field's type
+        busy = ExperimentConfig(
+            task="eval", seed=3, out_dir="o/x", n=10, L=4, d=3, rank=2,
+            noise_model="gaussian", theta_star=0.25, noise_sigma=0.5, wstar_scale=0.33,
+            data_path="a.txt", test_path="b.txt", ratio=0.4, pu_rho=0.1,
+            solver="prox_grad", loss="squared", lambda_reg=1e-3, lambda_c=0.05,
+            regularizer_mode="score_norm", gamma_clip=2.5, max_iters=7, rel_tol=1e-8,
+            k=2, ridge=0.01, metric="accuracy", metrics=("macro_f1",),
+            methods=("plugin",), ratios=(0.1, 0.3), repeats=2, omegas=(100, 200, 400),
+            grid_points=5, model_path="m.txt",
+        )
+        assert all(getattr(busy, f.name) != f.default for f in fields(ExperimentConfig))
+        empty = ExperimentConfig(**{
+            f.name: None if f.default is None else ()
+            for f in fields(ExperimentConfig)
+            if f.default is None or isinstance(f.default, tuple)
+        })
+        for cfg in (busy, empty):
+            text = parse_config_text(cfg.canonical_text())
+            assert ExperimentConfig.from_sources(cfg.task, text, {}) == cfg
 
     def test_ratio_validation(self):
         with pytest.raises(UsageError):
@@ -441,6 +469,24 @@ class TestCli:
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
         assert main([task, cfg, extra.format(tmp=tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["--lambda_reg=nan"], "lambda_reg"),
+        (["--lambda_reg=inf"], "lambda_reg"),
+        (["--lambda_reg=none", "--lambda_c=-1"], "lambda_c"),
+        (["--lambda_reg=none", "--lambda_c=nan"], "lambda_c"),
+        (["--theta_star=nan"], "theta_star"),
+        (["--wstar_scale=nan"], "wstar_scale"),
+        (["--wstar_scale=inf"], "wstar_scale"),
+        (["--noise_sigma=inf"], "noise_sigma"),
+        (["--lambda_reg=none", "--regularizer_mode=score_norm"], "regularizer_mode"),
+    ])
+    def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, *overrides]) == 2
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error:") and key in error_line
         assert not os.path.exists(tmp_path / "out")
 
     def test_out_dir_that_is_a_file_exit_code(self, tmp_path, capsys):
