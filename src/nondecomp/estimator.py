@@ -421,34 +421,6 @@ def _newton_step(fval, linearize, gtol):
     return newton_step
 
 
-def _column_fit(A, yv, loss, reg, loss_scale):
-    """Minimize loss_scale * sum(loss(A w, y)) + reg/2 * ||w||^2 over w,
-    from w = 0 with at most 50 Newton steps."""
-    eye = np.eye(A.shape[1])
-
-    def fval(wv):
-        t = A @ wv
-        return loss_scale * float(np.sum(loss.value(t, yv))) + 0.5 * reg * float(wv @ wv)
-
-    def linearize(wv):
-        t = A @ wv
-        g = loss_scale * (A.T @ np.asarray(loss.grad_t(t, yv), dtype=float)) + reg * wv
-
-        def newton_direction(g):
-            h = np.asarray(loss.hess_t(t, yv), dtype=float)
-            H = loss_scale * ((A * h[:, None]).T @ A) + (reg + 1e-12) * eye
-            try:
-                return np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                return g
-
-        return g, newton_direction
-
-    w0 = np.zeros(A.shape[1])
-    step = _newton_step(fval, linearize, gtol=1e-10)
-    return _descend(step, w0, fval(w0), max_iters=50, rel_tol=1e-14)[0]
-
-
 def _factored_objective(X, obs, loss, lam):
     """The alt_min objective sum(loss)/m + lam/2 * ||w||^2 over the packed
     factors w = [W1; W2], a (d + L) x k matrix, where the score of entry
@@ -544,24 +516,50 @@ def fit_alt_min(X, obs, config, k):
 def fit_plugin_baseline(X, obs, ridge):
     """Independent per-label logistic fits, the correlation-blind baseline.
 
-    Each label's column is a ridge-regularized logistic regression on that
-    label's observed entries; labels with no observations get a zero
-    column (score 0, probability one half).
+    Minimizes the sum over labels j of the mean logistic loss on label j's
+    observed entries plus ridge/2 * ||W[:, j]||^2 by damped Newton steps
+    from W = 0. The labels share no term, so each step solves one d x d
+    Hessian block per label. Labels with no observations keep a zero
+    column (score 0, probability one half). Returns (DenseModel, FitReport).
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     X = _check_X(X, obs)
-    W = np.zeros((X.shape[1], obs.L))
     loss = LogisticLoss()
+    y = obs.values
+    # each entry weighs 1 / m_j, for the m_j observed entries of its label
+    weight = 1.0 / np.bincount(obs.cols, minlength=obs.L)[obs.cols]
     cols_idx = _by_column(obs)
-    for j in range(obs.L):
-        idx = cols_idx[j]
-        if idx.size == 0:
-            continue
-        A = X[obs.rows[idx]]
-        yv = obs.values[idx]
-        W[:, j] = _column_fit(A, yv, loss, reg=ridge, loss_scale=1.0 / idx.size)
-    return DenseModel(W=W)
+    eye = np.eye(X.shape[1])
+
+    def fval(W):
+        t = _entry_scores(X, obs, W)
+        return float(np.sum(weight * loss.value(t, y))) + 0.5 * ridge * float(np.sum(W * W))
+
+    def linearize(W):
+        t = _entry_scores(X, obs, W)
+        M = np.zeros((obs.n, obs.L))
+        M[obs.rows, obs.cols] = weight * loss.grad_t(t, y)
+        G = X.T @ M + ridge * W
+
+        def newton_direction(G):
+            h = weight * loss.hess_t(t, y)
+            D = np.empty_like(G)
+            for j, idx in enumerate(cols_idx):
+                A = X[obs.rows[idx]]
+                H = (A * h[idx, None]).T @ A + (ridge + 1e-12) * eye
+                try:
+                    D[:, j] = np.linalg.solve(H, G[:, j])
+                except np.linalg.LinAlgError:
+                    D[:, j] = G[:, j]
+            return D
+
+        return G, newton_direction
+
+    W = np.zeros((X.shape[1], obs.L))
+    step = _newton_step(fval, linearize, gtol=1e-10)
+    W, trace, stop_reason = _descend(step, W, fval(W), max_iters=50, rel_tol=1e-14)
+    return DenseModel(W=W), _report(trace, stop_reason, W)
 
 
 def predict_scores(X, model, gamma_clip=None):

@@ -38,7 +38,6 @@ from .estimator import (
     fit_alt_min,
     fit_plugin_baseline,
     fit_prox_grad,
-    objective,
     predict_scores,
     recovery_error,
 )
@@ -86,17 +85,20 @@ def _threads():
 
 
 def _parallel_map(fn, keys):
-    """Apply fn to every key, optionally on a thread pool; result dict is
-    keyed so callers can iterate in canonical order afterwards."""
+    """Apply fn to every key, optionally on a thread pool, and return the
+    results by key; once a call raises, the queued calls are dropped."""
     keys = list(keys)
     workers = min(_threads(), len(keys))
     if workers <= 1:
         return {key: fn(key) for key in keys}
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         futures = {key: pool.submit(fn, key) for key in keys}
         return {key: futures[key].result() for key in keys}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -188,7 +190,7 @@ def _resolve_k(cfg, prob):
         return cfg.k
     if prob.W_star is not None:
         return cfg.rank
-    return max(1, round(0.4 * prob.Y.shape[1]))
+    return max(1, min(round(0.4 * prob.Y.shape[1]), prob.X.shape[1]))
 
 
 def _fit_solver(cfg, prob, obs, loss, seed, solver=None):
@@ -199,7 +201,7 @@ def _fit_solver(cfg, prob, obs, loss, seed, solver=None):
     if solver == "prox_grad":
         return fit_prox_grad(prob.X, obs, sconf)
     if solver == "plugin":
-        return fit_plugin_baseline(prob.X, obs, cfg.ridge), None
+        return fit_plugin_baseline(prob.X, obs, cfg.ridge)
     raise UsageError(f"unknown solver {solver!r}")
 
 
@@ -290,11 +292,17 @@ def _distinct_values(cfg, key):
 def _experiment_specs(cfg):
     """The metric specs of a convergence or compare run, by name, after
     checking that its methods and metrics are nonempty, distinct and known."""
-    for key in ("methods", "metrics"):
-        _distinct_values(cfg, key)
+    _distinct_values(cfg, "methods")
     for m in cfg.methods:
         if m not in ("algorithm1", "plugin"):
             raise UsageError(f"unknown method {m!r} in methods; expected algorithm1 or plugin")
+    return _metric_specs(cfg)
+
+
+def _metric_specs(cfg):
+    """The specs of the configured metrics, by name, after checking that
+    they are nonempty, distinct and known."""
+    _distinct_values(cfg, "metrics")
     try:
         return {name: get_metric(name) for name in cfg.metrics}
     except ValueError as exc:
@@ -359,22 +367,14 @@ def cmd_fit(cfg):
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
     with open(trace_path, "w") as fh:
         fh.write("iteration,objective\n")
-        if report is not None:
-            for i, val in enumerate(report.objective_trace):
-                fh.write(f"{i},{_fmt(val)}\n")
-        else:
-            sconf = _solver_config(cfg, loss, cfg.seed)
-            val = objective(prob.X, obs, model.W, sconf)
-            fh.write(f"0,{_fmt(val)}\n")
-    if report is not None:
-        print(
-            f"fit: solver={cfg.solver} iterations={report.iterations} "
-            f"converged={report.converged} stop={report.stop_reason} "
-            f"objective={report.objective_trace[-1]:.6g} "
-            f"rank={report.final_rank} model={path}"
-        )
-    else:
-        print(f"fit: solver={cfg.solver} model={path}")
+        for i, val in enumerate(report.objective_trace):
+            fh.write(f"{i},{_fmt(val)}\n")
+    print(
+        f"fit: solver={cfg.solver} iterations={report.iterations} "
+        f"converged={report.converged} stop={report.stop_reason} "
+        f"objective={report.objective_trace[-1]:.6g} "
+        f"rank={report.final_rank} model={path}"
+    )
     return {"model_path": path, "trace_path": trace_path, "report": report}
 
 
@@ -414,20 +414,18 @@ def _eval_data(cfg):
 
 def cmd_eval(cfg):
     """Evaluate a thresholded model on the evaluation entries; append result rows."""
+    specs = _metric_specs(cfg)
     X_e, Y_e, split = _eval_data(cfg)
     model = _read_model(cfg, X_e.shape[1], Y_e.shape[1])
     if model.theta is None:
         raise UsageError("model has no fitted threshold; run the threshold task first")
     _binary_required(Y_e, "evaluation")
-    tuned = {name: (get_metric(name), model.theta) for name in cfg.metrics}
+    tuned = {name: (spec, model.theta) for name, spec in specs.items()}
     infos = _evaluate(cfg, model, X_e, Y_e, tuned)
     method = "plugin" if cfg.solver == "plugin" else "algorithm1"
     out_rows = []
-    for name in cfg.metrics:
-        info = infos[name]
-        out_rows.append(
-            ResultRow(method, name, split, info.value, 0.0, cfg.config_hash())
-        )
+    for name, info in infos.items():
+        out_rows.append(ResultRow(method, name, split, info.value, 0.0, cfg.config_hash()))
         flag = f" degenerate_groups={info.degenerate_groups}" if info.degenerate_groups else ""
         print(f"eval: {name} [{split}] = {info.value:.6g}{flag}")
     _ensure_out_dir(cfg)
@@ -526,7 +524,7 @@ def cmd_compare(cfg):
     for method in sorted(cfg.methods):
         for name in cfg.metrics:
             mean, sd = _mean_sd([outcomes[(method, rep)][name] for rep in range(cfg.repeats)])
-            rows.append(ResultRow(method, name, split, mean, sd, chash))
+            rows.append(ResultRow(method, name, split, mean, sd / np.sqrt(cfg.repeats), chash))
     _ensure_out_dir(cfg)
     csv_path = os.path.join(cfg.out_dir, "compare.csv")
     with open(csv_path, "w") as fh:

@@ -573,7 +573,7 @@ class TestPluginBaseline:
         w = np.array([1.0, -2.0, 0.5])
         y = (X @ w >= 0).astype(float)
         obs = ObservationSet(40, 1, np.arange(40), np.zeros(40, dtype=int), y)
-        model = fit_plugin_baseline(X, obs, ridge=1e-3)
+        model, report = fit_plugin_baseline(X, obs, ridge=1e-3)
         assert np.all(np.isfinite(model.W))
         scores = X @ model.W[:, 0]
         assert np.mean((scores >= 0) == (y == 1)) > 0.9
@@ -584,7 +584,7 @@ class TestPluginBaseline:
         rng = np.random.default_rng(18)
         X = rng.uniform(0.5, 2.0, size=(25, 1))
         obs = ObservationSet(25, 1, np.arange(25), np.zeros(25, dtype=int), np.ones(25))
-        model = fit_plugin_baseline(X, obs, ridge=0.01)
+        model, report = fit_plugin_baseline(X, obs, ridge=0.01)
         probs = sigmoid(X @ model.W[:, 0])
         assert np.all(probs > 0.5)
 
@@ -593,9 +593,29 @@ class TestPluginBaseline:
         X = rng.normal(size=(10, 3))
         obs = ObservationSet(10, 3, np.arange(10), np.zeros(10, dtype=int),
                              rng.integers(0, 2, size=10).astype(float))
-        model = fit_plugin_baseline(X, obs, ridge=0.1)
+        model, report = fit_plugin_baseline(X, obs, ridge=0.1)
         np.testing.assert_array_equal(model.W[:, 1], 0.0)
         np.testing.assert_array_equal(model.W[:, 2], 0.0)
+
+    def test_joint_fit_solves_every_label(self):
+        # the labels share no term, so at the joint minimizer each label's
+        # own objective, mean loss on its entries + ridge/2 ||w_j||^2, is
+        # stationary too
+        rng = np.random.default_rng(21)
+        X, obs = random_instance(rng, 50, 4, 6, frac=0.5)
+        ridge = 0.01
+        model, report = fit_plugin_baseline(X, obs, ridge=ridge)
+        loss = LogisticLoss()
+        for j in range(obs.L):
+            idx = np.flatnonzero(obs.cols == j)
+            A = X[obs.rows[idx]]
+            w = model.W[:, j]
+            g = A.T @ loss.grad_t(A @ w, obs.values[idx]) / idx.size + ridge * w
+            assert np.linalg.norm(g) < 1e-8
+        trace = report.objective_trace
+        assert trace[0] == pytest.approx(obs.L * math.log(2))
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert report.converged
 
     def test_negative_ridge_rejected(self):
         rng = np.random.default_rng(20)

@@ -1,9 +1,11 @@
 import os
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from nondecomp import harness
 from nondecomp.cli import main
 from nondecomp.config import ExperimentConfig, UsageError, parse_config_text
 from nondecomp.dataset_io import (
@@ -219,6 +221,20 @@ class TestSynthCompare:
         out = cmd_compare(cfg)  # k falls back to round(0.4 * L) = 4, capped by d
         assert len(out["rows"]) == 4
 
+    def test_compare_stderr_is_standard_error_of_the_mean(self, tmp_path, monkeypatch):
+        paths = cmd_synth(small_cfg("synth", tmp_path / "s", n=40, L=10, d=4, rank=2))
+        cfg = small_cfg("compare", tmp_path / "c", data_path=paths["data_path"], repeats=3)
+
+        def fake_trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
+            return {name: float(seed - cfg.seed) for name in specs}  # 0, 1, 2
+
+        monkeypatch.setattr(harness, "_trial", fake_trial)
+        rows = cmd_compare(cfg)["rows"]
+        assert len(rows) == 4
+        for row in rows:
+            assert row.value == 1.0
+            assert row.stderr == pytest.approx(1.0 / np.sqrt(3), rel=1e-12)
+
 
 class TestConvergence:
     def test_small_grid_structure(self, tmp_path):
@@ -247,6 +263,21 @@ class TestConvergence:
         summary = cmd_convergence(cfg)["summary"]
         assert summary[("algorithm1", "micro_f1", 1.0)][0] >= 0.95
         assert summary[("plugin", "micro_f1", 1.0)][0] >= 0.95
+
+    def test_failed_trial_cancels_queued_trials(self, monkeypatch):
+        monkeypatch.setenv("NONDECOMP_THREADS", "2")
+        calls = []
+
+        def fn(key):
+            calls.append(key)
+            if key == 0:
+                raise UsageError("first trial fails")
+            time.sleep(0.05)
+            return key
+
+        with pytest.raises(UsageError, match="first trial fails"):
+            harness._parallel_map(fn, range(40))
+        assert len(calls) < 10
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         kw = dict(
@@ -459,17 +490,48 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("task, extra", [
-        ("synth", "--n="),
-        ("fit", "--data_path={tmp}/absent.txt"),
-        ("eval", "--data_path={tmp}/absent.txt"),
-        ("compare", "--repeats=1"),
-    ], ids=["synth", "fit", "eval", "compare"])
-    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra):
-        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+    @pytest.mark.parametrize("task, extra, message", [
+        ("synth", "--n=", "missing: n"),
+        ("fit", "--data_path={tmp}/absent.txt", "cannot read dataset"),
+        ("eval", "--data_path={tmp}/absent.txt", "cannot read dataset"),
+        ("compare", "--repeats=1", "compare needs data_path"),
+        ("eval", "--metrics=", "eval needs at least one value in metrics"),
+        ("eval", "--metrics=micro_f1,micro_f1", "metrics repeats a value"),
+        ("eval", "--metrics=micro_f1,f2", "metrics: unknown metric 'f2'"),
+    ], ids=["synth", "fit", "eval", "compare",
+            "eval_empty_metrics", "eval_repeated_metrics", "eval_unknown_metric"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra, message):
+        # a thresholded model outside out_dir, so eval gets as far as it can
+        with open(tmp_path / "model.txt", "w") as fh:
+            save_model(DenseModel(W=np.zeros((4, 8)), theta=0.0), fh)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nmodel_path = {tmp_path}/model.txt\n"
+        )
         assert main([task, cfg, extra.format(tmp=tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error:") and message in error_line
         assert not os.path.exists(tmp_path / "out")
+
+    def test_default_rank_is_capped_by_d(self, tmp_path):
+        # round(0.4 * L) = 12 exceeds d = 5, so the default rank is 5
+        data = self.write_dataset_file(tmp_path, "l30.txt", 60, 5, 30)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\ndata_path = {data}\n"
+        )
+        assert main(["fit", cfg, "--k=none"]) == 0
+        model = load_model(open(tmp_path / "out" / "model.txt"))
+        assert model.W1.shape == (5, 5) and model.W2.shape == (30, 5)
+
+    def test_plugin_fit_reports_its_own_objective(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, "--solver=plugin"]) == 0
+        assert "stop=rel_tol" in capsys.readouterr().out
+        lines = open(tmp_path / "out" / "trace.csv").read().split()
+        assert lines[0] == "iteration,objective"
+        trace = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(trace) > 1 and all(b <= a for a, b in zip(trace, trace[1:]))
+        # from W = 0 each of the 8 labels, all observed at ratio 0.5, adds log 2
+        assert trace[0] == pytest.approx(8 * np.log(2), rel=1e-15)
 
     @pytest.mark.parametrize("overrides, key", [
         (["--lambda_reg=nan"], "lambda_reg"),
