@@ -9,6 +9,7 @@ traceable to the exact configuration that produced them.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -154,6 +155,8 @@ class ExperimentConfig:
             raise UsageError("solver must be alt_min, prox_grad, or plugin")
         if self.gamma_clip is not None and not self.gamma_clip > 0:
             raise UsageError("gamma_clip must be positive")
+        if not 0 <= self.ridge < math.inf:
+            raise UsageError("ridge must be finite and nonnegative")
 
     def require_synthetic(self):
         missing = [name for name in ("n", "L", "d", "rank") if getattr(self, name) is None]

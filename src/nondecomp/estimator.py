@@ -10,6 +10,10 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
 * ``fit_alt_min`` -- damped Gauss-Newton-CG steps on both factors of the
   rank-k factorization at once, with the standard Frobenius surrogate of
   the nuclear penalty (the name is kept from alternating minimization).
+  Each step scatters its curvature into an n x L array and allocates one
+  n x L work buffer, so every CG matvec is a few small matrix products
+  instead of per-entry gathers; ``predict_scores``, ``grad_empirical``
+  and the plugin fit form n x L arrays anyway.
 * ``fit_plugin_baseline`` -- independent per-label ridge-regularized
   logistic fits, the comparison method that ignores label correlations.
 """
@@ -142,8 +146,8 @@ class SolverConfig:
             raise ValueError("lambda_c must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and positive")
         if self.regularizer_mode not in ("param_norm", "score_norm"):
             raise ValueError("regularizer_mode must be param_norm or score_norm")
 
@@ -228,14 +232,19 @@ def objective(X, obs, W, config):
     return _empirical_risk(X, obs, W, config.loss) + lam * reg
 
 
+def _on_entries(obs, values):
+    """The n x L array holding values at the observed entries, zero elsewhere."""
+    M = np.zeros((obs.n, obs.L))
+    M[obs.rows, obs.cols] = values
+    return M
+
+
 def grad_empirical(X, obs, W, loss):
     """Gradient of the empirical-risk term with respect to W (d x L)."""
     X, W = _check_shapes(X, obs, W)
     t = _entry_scores(X, obs, W)
     g = np.asarray(loss.grad_t(t, obs.values), dtype=float) / obs.size
-    M = np.zeros((obs.n, obs.L))
-    M[obs.rows, obs.cols] = g
-    return X.T @ M
+    return X.T @ _on_entries(obs, g)
 
 
 def prox_nuclear(A, tau):
@@ -429,47 +438,38 @@ def _factored_objective(X, obs, loss, lam):
     Returns fval(w) and gauss_newton(w). The latter gives the gradient
     J^T (loss' / m) + lam * w and the Gauss-Newton matvec
     S -> J^T diag(max(loss'', 0) / m) J S + (lam + 1e-12) * S, where J is
-    the Jacobian of the m observed scores in w. Both sum their per-entry
-    terms into rows of X @ W1 and of W2 with ``bincount``, so nothing of
-    size n x L is formed.
+    the Jacobian of the m observed scores in w.
+
+    Each Gauss-Newton step scatters its per-entry weights into n x L arrays
+    that are zero off the observed entries, so J^T u for weights u on the
+    entries is [X^T (U W2); U^T (X W1)] for their n x L array U, and a
+    matvec is a few small GEMMs with no per-entry gathers. The step also
+    allocates one n x L buffer that every matvec of that step reuses, so
+    CG does not map and unmap a fresh n x L temporary per matvec.
     """
     d = X.shape[1]
     m = obs.size
     y = obs.values
 
-    def scores(A, W2):
-        """A[i] . W2[j] for every observed entry (i, j), summed one factor
-        column at a time: the line search calls it while the Gauss-Newton
-        state below is alive, so it forms no further m x k array."""
-        t = A[obs.rows, 0] * W2[obs.cols, 0]
-        for p in range(1, A.shape[1]):
-            t += A[obs.rows, p] * W2[obs.cols, p]
-        return t
-
     def fval(w):
-        emp = float(np.sum(loss.value(scores(X @ w[:d], w[d:]), y))) / m
-        return emp + 0.5 * lam * float(np.sum(w * w))
+        t = ((X @ w[:d]) @ w[d:].T)[obs.rows, obs.cols]
+        return float(np.sum(loss.value(t, y))) / m + 0.5 * lam * float(np.sum(w * w))
 
     def gauss_newton(w):
         A, W2 = X @ w[:d], w[d:]
-        t = scores(A, W2)
-        Ae, Be = A[obs.rows], W2[obs.cols]
-
-        def jac_t(u):
-            """J^T u for per-entry weights u."""
-            by_row = [np.bincount(obs.rows, u * Be[:, p], obs.n) for p in range(w.shape[1])]
-            by_col = [np.bincount(obs.cols, u * Ae[:, p], obs.L) for p in range(w.shape[1])]
-            return np.vstack([X.T @ np.stack(by_row, axis=1), np.stack(by_col, axis=1)])
-
-        G = jac_t(np.asarray(loss.grad_t(t, y), dtype=float) / m) + lam * w
+        t = (A @ W2.T)[obs.rows, obs.cols]
+        M = _on_entries(obs, np.asarray(loss.grad_t(t, y), dtype=float) / m)
+        G = np.vstack([X.T @ (M @ W2), M.T @ A]) + lam * w
         # PU-corrected losses can have negative curvature; clipping keeps
         # the Gauss-Newton matrix positive definite for CG
-        h = np.maximum(np.asarray(loss.hess_t(t, y), dtype=float), 0.0) / m
+        Hd = _on_entries(obs, np.maximum(np.asarray(loss.hess_t(t, y), dtype=float), 0.0) / m)
+        buf = np.empty_like(Hd)
 
         def matvec(S):
-            u = (np.einsum("ij,ij->i", (X @ S[:d])[obs.rows], Be)
-                 + np.einsum("ij,ij->i", Ae, S[d:][obs.cols]))
-            return jac_t(h * u) + (lam + 1e-12) * S
+            # J S on every entry is (X S1) W2^T + A S2^T, one GEMM into buf
+            np.matmul(np.hstack([X @ S[:d], A]), np.hstack([W2, S[d:]]).T, out=buf)
+            np.multiply(Hd, buf, out=buf)
+            return np.vstack([X.T @ (buf @ W2), buf.T @ A]) + (lam + 1e-12) * S
 
         return G, matvec
 
@@ -522,8 +522,8 @@ def fit_plugin_baseline(X, obs, ridge):
     Hessian block per label. Labels with no observations keep a zero
     column (score 0, probability one half). Returns (DenseModel, FitReport).
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < math.inf:
+        raise ValueError("ridge must be finite and nonnegative")
     X = _check_X(X, obs)
     loss = LogisticLoss()
     y = obs.values
@@ -538,9 +538,7 @@ def fit_plugin_baseline(X, obs, ridge):
 
     def linearize(W):
         t = _entry_scores(X, obs, W)
-        M = np.zeros((obs.n, obs.L))
-        M[obs.rows, obs.cols] = weight * loss.grad_t(t, y)
-        G = X.T @ M + ridge * W
+        G = X.T @ _on_entries(obs, weight * loss.grad_t(t, y)) + ridge * W
 
         def newton_direction(G):
             h = weight * loss.hess_t(t, y)

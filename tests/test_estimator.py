@@ -565,6 +565,43 @@ class TestFactoredObjective:
             S = rng.normal(size=w.shape)
             np.testing.assert_allclose(matvec(S).ravel(), M @ S.ravel(), rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("name, loss", LOSSES)
+    def test_gapped_gauss_newton_matches_explicit_jacobian(self, name, loss):
+        # n != L, and the last row and the last column have no observed
+        # entry; matvecs of one step share a work buffer, so each returned
+        # product must still equal its oracle after later calls
+        rng = np.random.default_rng(54)
+        n, d, L, k, lam = 9, 3, 5, 2, 0.05
+        X = rng.normal(size=(n, d))
+        rows, cols = np.divmod(np.arange((n - 1) * (L - 1)), L - 1)
+        keep = rng.random(rows.size) < 0.7
+        keep[rows == 0] = keep[cols == 0] = True
+        obs = ObservationSet(n, L, rows[keep], cols[keep],
+                             rng.integers(0, 2, size=keep.sum()).astype(float))
+        w = rng.normal(size=(d + L, k))
+        _, gauss_newton = _factored_objective(X, obs, loss, lam)
+        W1, W2 = w[:d], w[d:]
+        A = X @ W1
+        J = np.zeros((obs.size, w.size))
+        for e, (r, c) in enumerate(zip(obs.rows, obs.cols)):
+            dW2 = np.zeros_like(W2)
+            dW2[c] = A[r]
+            J[e] = np.vstack([np.outer(X[r], W2[c]), dW2]).ravel()
+        t = np.einsum("ij,ij->i", A[obs.rows], W2[obs.cols])
+        hess = np.maximum(loss.hess_t(t, obs.values), 0.0) / obs.size
+        M = J.T @ (hess[:, None] * J) + lam * np.eye(w.size)
+        G, matvec = gauss_newton(w)
+        grad = J.T @ loss.grad_t(t, obs.values) / obs.size + lam * w.ravel()
+        np.testing.assert_allclose(G.ravel(), grad, rtol=1e-10, atol=1e-12)
+        inputs, outputs = [], []
+        for _ in range(3):
+            inputs.append(rng.normal(size=w.shape))
+            outputs.append(matvec(inputs[-1]))
+            for S, HS in zip(inputs, outputs):
+                np.testing.assert_allclose(HS.ravel(), M @ S.ravel(), rtol=1e-10, atol=1e-10)
+        # the unobserved column's rows of W2 see only the damping
+        np.testing.assert_allclose(outputs[0][-1], (lam + 1e-12) * inputs[0][-1], rtol=1e-12)
+
 
 class TestPluginBaseline:
     def test_separable_label_finite_and_correct_sign(self):
@@ -622,6 +659,13 @@ class TestPluginBaseline:
         X, obs = random_instance(rng, 5, 2, 2)
         with pytest.raises(ValueError):
             fit_plugin_baseline(X, obs, ridge=-1.0)
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        rng = np.random.default_rng(20)
+        X, obs = random_instance(rng, 5, 2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            fit_plugin_baseline(X, obs, ridge=ridge)
 
 
 class TestPredictAndRecovery:
@@ -709,7 +753,8 @@ class TestDefaults:
                     SolverConfig(**{key: bad})
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(rel_tol=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rel_tol"):
+                SolverConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             SolverConfig(regularizer_mode="both")

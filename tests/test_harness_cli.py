@@ -498,8 +498,10 @@ class TestCli:
         ("eval", "--metrics=", "eval needs at least one value in metrics"),
         ("eval", "--metrics=micro_f1,micro_f1", "metrics repeats a value"),
         ("eval", "--metrics=micro_f1,f2", "metrics: unknown metric 'f2'"),
+        ("convergence", "--ridge=nan", "ridge must be finite and nonnegative"),
     ], ids=["synth", "fit", "eval", "compare",
-            "eval_empty_metrics", "eval_repeated_metrics", "eval_unknown_metric"])
+            "eval_empty_metrics", "eval_repeated_metrics", "eval_unknown_metric",
+            "convergence_nan_ridge"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra, message):
         # a thresholded model outside out_dir, so eval gets as far as it can
         with open(tmp_path / "model.txt", "w") as fh:
@@ -543,6 +545,10 @@ class TestCli:
         (["--wstar_scale=inf"], "wstar_scale"),
         (["--noise_sigma=inf"], "noise_sigma"),
         (["--lambda_reg=none", "--regularizer_mode=score_norm"], "regularizer_mode"),
+        (["--solver=plugin", "--ridge=nan"], "ridge"),
+        (["--solver=plugin", "--ridge=inf"], "ridge"),
+        (["--solver=plugin", "--ridge=-1"], "ridge"),
+        (["--rel_tol=inf"], "rel_tol"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
