@@ -109,7 +109,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("algorithm1", "plugin")
     ratios: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.5)
     repeats: int = 5
-    omegas: tuple[int, ...] | None = None
     grid_points: int = 4
     # outputs
     model_path: str | None = None

@@ -182,11 +182,15 @@ def _write_matrix(stream, A):
 
 
 def _read_matrix(lines, start, shape, what):
+    """Parse the matrix whose rows begin at index ``start`` of ``lines``; the
+    array is built only after every row the header calls for has parsed."""
     rows, cols = shape
-    out = np.empty(shape)
+    if start + rows > len(lines):
+        raise ModelFormatError(
+            f"line 2: truncated stream while reading {what}; dims call for {rows} rows"
+        )
+    values = []
     for r in range(rows):
-        if start + r >= len(lines):
-            raise ModelFormatError(f"truncated stream while reading {what}")
         line_no = start + r + 1
         parts = lines[start + r].split()
         if len(parts) != cols:
@@ -194,12 +198,12 @@ def _read_matrix(lines, start, shape, what):
                 f"line {line_no}: {what} row {r} has {len(parts)} values, expected {cols}"
             )
         try:
-            out[r] = [float(p) for p in parts]
+            values.append([float(p) for p in parts])
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {what} row {r}: {exc}") from None
-        if not np.all(np.isfinite(out[r])):
+        if not np.all(np.isfinite(values[-1])):
             raise ModelFormatError(f"line {line_no}: non-finite value in {what} row {r}")
-    return out, start + rows
+    return np.array(values, dtype=float).reshape(shape), start + rows
 
 
 def save_model(model, stream):
@@ -247,18 +251,25 @@ def load_model(stream):
     try:
         sizes = [int(v) for v in dims[1:]]
     except ValueError:
-        raise ModelFormatError("dims must be integers") from None
+        raise ModelFormatError("line 2: dims must be integers") from None
+    if any(v < 0 for v in sizes):
+        raise ModelFormatError(f"line 2: negative dims {' '.join(dims[1:])}")
     if kind == "dense":
         if len(sizes) != 2:
-            raise ModelFormatError("dense model needs 'dims d L'")
-        W, _ = _read_matrix(lines, 3, (sizes[0], sizes[1]), "W")
-        return DenseModel(W=W, theta=theta)
-    if len(sizes) != 3:
-        raise ModelFormatError("factored model needs 'dims d L k'")
-    d, L, k = sizes
-    W1, nxt = _read_matrix(lines, 3, (d, k), "W1")
-    W2, _ = _read_matrix(lines, nxt, (L, k), "W2")
-    return FactoredModel(W1=W1, W2=W2, theta=theta)
+            raise ModelFormatError("line 2: dense model needs 'dims d L'")
+        W, end = _read_matrix(lines, 3, tuple(sizes), "W")
+        model = DenseModel(W=W, theta=theta)
+    else:
+        if len(sizes) != 3:
+            raise ModelFormatError("line 2: factored model needs 'dims d L k'")
+        d, L, k = sizes
+        W1, nxt = _read_matrix(lines, 3, (d, k), "W1")
+        W2, end = _read_matrix(lines, nxt, (L, k), "W2")
+        model = FactoredModel(W1=W1, W2=W2, theta=theta)
+    for i in range(end, len(lines)):
+        if lines[i].strip():
+            raise ModelFormatError(f"line {i + 1}: unexpected line after the last matrix")
+    return model
 
 
 @dataclass(frozen=True)

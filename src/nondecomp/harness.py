@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -101,6 +102,15 @@ def _parallel_map(fn, keys):
         pool.shutdown(cancel_futures=True)
 
 
+def _over_repeats(cfg, cells, run):
+    """Call run(cell, rep) for every cell and each of cfg.repeats repeats
+    through _parallel_map; returns each cell's outcomes in repeat order."""
+    cells = list(cells)
+    reps = range(cfg.repeats)
+    outcomes = _parallel_map(lambda key: run(*key), product(cells, reps))
+    return {cell: [outcomes[(cell, rep)] for rep in reps] for cell in cells}
+
+
 @dataclass
 class Problem:
     """A resolved learning problem: features, full labels, and the ground
@@ -162,15 +172,16 @@ def _binary_required(Y, what):
 def _train_observations(cfg, prob, seed, ratio):
     """Observed training entries at the given mask ratio, plus the loss to
     fit them with; the positive-unlabeled regime observes every entry."""
-    base_loss = get_loss(cfg.loss)
+    Y, loss = prob.Y, get_loss(cfg.loss)
+    if cfg.solver == "plugin":
+        _binary_required(Y, "solver = plugin")
+    elif cfg.loss != "gaussian":
+        _binary_required(Y, f"loss = {cfg.loss}")
     if cfg.pu_rho > 0.0:
         _binary_required(prob.Y, "positive-unlabeled flipping")
-        flipped = pu_flip(prob.Y, PUSpec(cfg.pu_rho), seed)
-        rows, cols = _full_grid(*flipped.shape)
-        obs = ObservationSet(*flipped.shape, rows, cols, flipped.ravel().astype(float))
-        return obs, PULossWrapper(base_loss, cfg.pu_rho)
-    obs = mask_observations(prob.Y, ratio, OmegaDistribution.uniform(), seed)
-    return obs, base_loss
+        Y, ratio = pu_flip(prob.Y, PUSpec(cfg.pu_rho), seed), 1.0
+        loss = PULossWrapper(loss, cfg.pu_rho)
+    return mask_observations(Y, ratio, OmegaDistribution.uniform(), seed), loss
 
 
 def _solver_config(cfg, loss, seed, regularizer_mode=None):
@@ -215,10 +226,10 @@ def _tune_threshold(spec, z_obs, y_obs, rows, cols):
     sentinel when no thresholding achieves a positive metric value."""
     result = threshold_sweep(z_obs, y_obs, spec, _groups(spec, rows, cols))
     theta = result.theta_hat
-    degenerate = False
-    if result.value == 0.0:
-        theta = float(np.max(z_obs)) + 1.0
-        degenerate = True
+    degenerate = result.value == 0.0
+    if degenerate:
+        top = float(np.max(z_obs))
+        theta = max(top + 1.0, float(np.nextafter(top, np.inf)))
     return theta, result, degenerate
 
 
@@ -451,25 +462,18 @@ def cmd_convergence(cfg):
         prob = _load_problem(cfg, cfg.seed + rep)
         problems[rep] = (prob, *_fresh_test_split(cfg, prob.W_star, cfg.seed + rep))
 
-    def run_one(key):
-        method, ratio, rep = key
+    def run_one(cell, rep):
+        method, ratio = cell
         prob, X_t, Y_t = problems[rep]
         return _trial(cfg, prob, cfg.seed + rep, ratio, method, specs, X_t, Y_t)
 
-    keys = [
-        (method, ratio, rep)
-        for method in cfg.methods
+    outcomes = _over_repeats(cfg, product(cfg.methods, cfg.ratios), run_one)
+    summary = {
+        (method, name, ratio): _mean_sd([o[name] for o in outcomes[(method, ratio)]])
+        for method in sorted(cfg.methods)
+        for name in cfg.metrics
         for ratio in cfg.ratios
-        for rep in range(cfg.repeats)
-    ]
-    outcomes = _parallel_map(run_one, keys)
-
-    summary = {}
-    for method in sorted(cfg.methods):
-        for name in cfg.metrics:
-            for ratio in cfg.ratios:
-                vals = [outcomes[(method, ratio, rep)][name] for rep in range(cfg.repeats)]
-                summary[(method, name, ratio)] = _mean_sd(vals)
+    }
 
     chash = cfg.config_hash()
     _ensure_out_dir(cfg)
@@ -479,6 +483,7 @@ def cmd_convergence(cfg):
         for (method, name, ratio) in sorted(summary):
             mean, sd = summary[(method, name, ratio)]
             fh.write(f"{method},{name},{_fmt(ratio)},{_fmt(mean)},{_fmt(sd)},{chash}\n")
+            print(f"convergence: {method} {name} ratio={ratio:g} mean={mean:.4f} sd={sd:.4f}")
 
     plot_paths = []
     for name in cfg.metrics:
@@ -491,10 +496,6 @@ def cmd_convergence(cfg):
         with open(svg_path, "w") as fh:
             emit_plot(series, fh, xlabel="sampling ratio", ylabel=name)
         plot_paths.append(svg_path)
-
-    for (method, name, ratio) in sorted(summary):
-        mean, sd = summary[(method, name, ratio)]
-        print(f"convergence: {method} {name} ratio={ratio:g} mean={mean:.4f} sd={sd:.4f}")
     return {"summary": summary, "csv_path": csv_path, "plot_paths": plot_paths}
 
 
@@ -512,18 +513,15 @@ def cmd_compare(cfg):
         split = "test"
     _binary_required(Y_e, "evaluation")
 
-    def run_one(key):
-        method, rep = key
+    def run_one(method, rep):
         return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, method, specs, X_e, Y_e)
 
-    keys = [(method, rep) for method in cfg.methods for rep in range(cfg.repeats)]
-    outcomes = _parallel_map(run_one, keys)
-
+    outcomes = _over_repeats(cfg, cfg.methods, run_one)
     chash = cfg.config_hash()
     rows = []
     for method in sorted(cfg.methods):
         for name in cfg.metrics:
-            mean, sd = _mean_sd([outcomes[(method, rep)][name] for rep in range(cfg.repeats)])
+            mean, sd = _mean_sd([o[name] for o in outcomes[method]])
             rows.append(ResultRow(method, name, split, mean, sd / np.sqrt(cfg.repeats), chash))
     _ensure_out_dir(cfg)
     csv_path = os.path.join(cfg.out_dir, "compare.csv")
@@ -559,15 +557,11 @@ def cmd_rate_check(cfg):
     if cfg.noise_model != "bernoulli_logistic":
         raise UsageError("rate_check needs noise_model = bernoulli_logistic")
     total = cfg.n * cfg.L
-    if cfg.omegas is not None:
-        key, grid = "omegas", tuple(int(m) for m in cfg.omegas)
-    else:
-        key = "grid_points"
-        grid = tuple(round(total * 2.0 ** -(cfg.grid_points - 1 - i)) for i in range(cfg.grid_points))
+    grid = tuple(round(total * 2.0 ** -(cfg.grid_points - 1 - i)) for i in range(cfg.grid_points))
     if len(grid) < 3 or len(set(grid)) < len(grid):
         raise UsageError(
             f"rate_check needs at least 3 grid points, all distinct; "
-            f"{key} gives {','.join(map(str, grid))}"
+            f"grid_points gives {','.join(map(str, grid))}"
         )
     if any(not 1 <= m <= total for m in grid):
         raise UsageError(f"omega grid must lie in [1, {total}]")
@@ -575,8 +569,8 @@ def cmd_rate_check(cfg):
     # one problem per repeat, shared by every (mode, omega) fit of that repeat
     problems = {rep: _load_problem(cfg, cfg.seed + rep) for rep in range(cfg.repeats)}
 
-    def run_one(key):
-        mode, m, rep = key
+    def run_one(cell, rep):
+        mode, m = cell
         seed_r = cfg.seed + rep
         prob = problems[rep]
         rows, cols = sample_omega(cfg.n, cfg.L, m, OmegaDistribution.uniform(), seed_r)
@@ -585,18 +579,8 @@ def cmd_rate_check(cfg):
         model, _ = fit_prox_grad(prob.X, obs, sconf)
         return recovery_error(model.W, prob.W_star)
 
-    keys = [
-        (mode, m, rep)
-        for mode in ("param_norm", "score_norm")
-        for m in grid
-        for rep in range(cfg.repeats)
-    ]
-    outcomes = _parallel_map(run_one, keys)
-
-    points = {}
-    for mode in ("param_norm", "score_norm"):
-        for m in grid:
-            points[(mode, m)] = _mean_sd([outcomes[(mode, m, rep)] for rep in range(cfg.repeats)])
+    outcomes = _over_repeats(cfg, product(("param_norm", "score_norm"), grid), run_one)
+    points = {cell: _mean_sd(errors) for cell, errors in outcomes.items()}
 
     log_m = np.log([float(m) for m in grid])
     log_err = np.log([points[("param_norm", m)][0] for m in grid])
@@ -610,10 +594,7 @@ def cmd_rate_check(cfg):
         for (mode, m) in sorted(points):
             mean, sd = points[(mode, m)]
             fh.write(f"{mode},{m},{_fmt(mean)},{_fmt(sd)},{chash}\n")
-
-    for (mode, m) in sorted(points):
-        mean, sd = points[(mode, m)]
-        print(f"rate_check: {mode} omega={m} error={mean:.6g} sd={sd:.3g}")
+            print(f"rate_check: {mode} omega={m} error={mean:.6g} sd={sd:.3g}")
     print(f"rate_check: param_norm log-log slope = {slope:.4f}")
     return RateCheckResult(slope=slope, points=points, csv_path=csv_path)
 

@@ -267,7 +267,9 @@ def threshold_sweep(z, y, spec, group_index=None):
     else:
         ginv = np.unique(group_index, return_inverse=True)[1]
         k, best = _sweep_grouped(spec, inv, y == 1, ginv, n_distinct)
-    theta = float(vals_asc[k]) if k < n_distinct else float(vals_asc[-1]) + 1.0
+    top = float(vals_asc[-1])
+    sentinel = max(top + 1.0, float(np.nextafter(top, np.inf)))  # top + 1.0 == top past 2**53
+    theta = float(vals_asc[k]) if k < n_distinct else sentinel
     return ThresholdResult(theta_hat=theta, value=best, candidates_evaluated=n_distinct + 1)
 
 

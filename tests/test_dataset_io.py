@@ -181,6 +181,22 @@ class TestModelRoundTrip:
             load_model(io.StringIO("nondecomp-model dense\ndims 2 2\n" + body))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("nondecomp-model dense\ndims 60000000 2000000\ntheta none\n1 2\n",
+         "line 2: truncated stream while reading W; dims call for 60000000 rows"),
+        ("nondecomp-model dense\ndims 1 3000000000\ntheta none\n1 2\n",
+         "line 4: W row 0 has 2 values, expected 3000000000"),
+        ("nondecomp-model dense\ndims -1 2\ntheta none\n", "line 2: negative dims -1 2"),
+        ("nondecomp-model dense\ndims 1 2\ntheta none\n1 2\n3 4\nfoo bar baz\n",
+         "line 5: unexpected line after the last matrix"),
+        ("nondecomp-model factored\ndims 1 1 1\ntheta none\n1\n2\n\n3\n",
+         "line 7: unexpected line after the last matrix"),
+    ], ids=["huge_rows", "huge_cols", "negative", "dense_trailing", "factored_trailing"])
+    def test_body_checked_against_dims(self, text, message):
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO(text))
+        assert str(err.value) == message
+
     def test_truncated(self):
         rng = np.random.default_rng(6)
         buf = io.StringIO()

@@ -85,7 +85,7 @@ class TestConfig:
             solver="prox_grad", loss="squared", lambda_reg=1e-3, lambda_c=0.05,
             regularizer_mode="score_norm", gamma_clip=2.5, max_iters=7, rel_tol=1e-8,
             k=2, ridge=0.01, metric="accuracy", metrics=("macro_f1",),
-            methods=("plugin",), ratios=(0.1, 0.3), repeats=2, omegas=(100, 200, 400),
+            methods=("plugin",), ratios=(0.1, 0.3), repeats=2,
             grid_points=5, model_path="m.txt",
         )
         assert all(getattr(busy, f.name) != f.default for f in fields(ExperimentConfig))
@@ -162,6 +162,15 @@ class TestFitThresholdEval:
         obs, _ = _train_observations(cfg_t, prob, cfg_t.seed, cfg_t.ratio)
         z = predict_scores(prob.X, model)[obs.rows, obs.cols]
         assert model.theta > z.max()
+
+    def test_sentinel_fallback_lies_above_huge_scores(self):
+        z = np.array([1e17, 0.0])  # 1e17 + 1.0 == 1e17
+        y = np.zeros(2, dtype=np.int8)
+        theta, result, degenerate = harness._tune_threshold(
+            get_metric("micro_f1"), z, y, np.zeros(2, dtype=int), np.arange(2)
+        )
+        assert degenerate and result.value == 0.0
+        assert theta > z.max()
 
     def test_huge_lambda_yields_constant_predictor(self, tmp_path):
         cfg = small_cfg("fit", tmp_path, lambda_reg=50.0)
@@ -307,7 +316,7 @@ class TestRateCheck:
     def test_needs_three_grid_points(self, tmp_path):
         cfg = small_cfg(
             "rate_check", tmp_path, noise_model="bernoulli_logistic",
-            omegas=(50, 100),
+            grid_points=2,
         )
         with pytest.raises(UsageError, match="3 grid points"):
             cmd_rate_check(cfg)
@@ -317,7 +326,7 @@ class TestRateCheck:
             "rate_check", tmp_path,
             n=40, L=10, d=4, rank=2, noise_model="bernoulli_logistic",
             solver="prox_grad", lambda_reg=None, lambda_c=0.05,
-            omegas=(100, 200, 400), repeats=2, max_iters=150,
+            grid_points=3, repeats=2, max_iters=150,
         )
         res = cmd_rate_check(cfg)
         assert np.isfinite(res.slope)
@@ -439,6 +448,20 @@ class TestCli:
             err = capsys.readouterr().err
             assert "d = 5, L = 20" in err and "d = 5, L = 30" in err
 
+    @pytest.mark.parametrize("dims, body, message", [
+        ("60000000 2000000", "0 0\n", "line 2: truncated stream"),
+        ("-1 2", "", "line 2: negative dims"),
+        ("4 8", "0 0 0 0 0 0 0 0\n" * 4 + "3 4\nfoo bar baz\n", "line 8: unexpected line"),
+    ], ids=["huge", "negative", "trailing"])
+    def test_bad_model_file_exit_code(self, tmp_path, capsys, dims, body, message):
+        (tmp_path / "model.txt").write_text(f"nondecomp-model dense\ndims {dims}\ntheta 0\n{body}")
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nmodel_path = {tmp_path}/model.txt\n"
+        )
+        for task in ("threshold", "eval"):
+            assert main([task, cfg]) == 2
+            assert message in capsys.readouterr().err
+
     def test_eval_test_path_feature_mismatch_exit_code(self, tmp_path, capsys):
         train = self.write_dataset_file(tmp_path, "d5.txt", 40, 5, 20)
         test = self.write_dataset_file(tmp_path, "d7.txt", 30, 7, 20)
@@ -499,9 +522,10 @@ class TestCli:
         ("eval", "--metrics=micro_f1,micro_f1", "metrics repeats a value"),
         ("eval", "--metrics=micro_f1,f2", "metrics: unknown metric 'f2'"),
         ("convergence", "--ridge=nan", "ridge must be finite and nonnegative"),
+        ("rate_check", "--omegas=100,200,400", "unknown config key 'omegas'"),
     ], ids=["synth", "fit", "eval", "compare",
             "eval_empty_metrics", "eval_repeated_metrics", "eval_unknown_metric",
-            "convergence_nan_ridge"])
+            "convergence_nan_ridge", "rate_check_omegas"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra, message):
         # a thresholded model outside out_dir, so eval gets as far as it can
         with open(tmp_path / "model.txt", "w") as fh:
@@ -513,6 +537,26 @@ class TestCli:
         error_line = capsys.readouterr().err.splitlines()[0]
         assert error_line.startswith("error:") and message in error_line
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("override, key", [
+        ("--loss=logistic", "loss = logistic"),
+        ("--loss=squared", "loss = squared"),
+        ("--loss=exponential", "loss = exponential"),
+        ("--solver=plugin", "solver = plugin"),
+    ])
+    def test_real_valued_labels_need_gaussian_loss(self, tmp_path, capsys, override, key):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, "--noise_model=gaussian", override]) == 2
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line == (
+            f"error: {key} needs binary labels; the gaussian noise model is real-valued"
+        )
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_real_valued_labels_fit_with_gaussian_loss(self, tmp_path):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, "--noise_model=gaussian", "--loss=gaussian"]) == 0
+        assert os.path.exists(tmp_path / "out" / "model.txt")
 
     def test_default_rank_is_capped_by_d(self, tmp_path):
         # round(0.4 * L) = 12 exceeds d = 5, so the default rank is 5
@@ -582,18 +626,17 @@ class TestCli:
         assert error_line.startswith("error:") and key in error_line
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("override, key", [
-        ("--omegas=5,5,5", "omegas"),
-        ("--omegas=100,100,200,400", "omegas"),
-        ("--grid_points=2", "grid_points"),
-    ])
-    def test_rate_check_grid_needs_three_distinct_points(self, tmp_path, capsys, override, key):
+    @pytest.mark.parametrize("overrides, grid", [
+        (["--n=1", "--L=1", "--grid_points=3"], "0,0,1"),
+        (["--grid_points=2"], "240,480"),
+    ], ids=["repeated", "two_points"])
+    def test_rate_check_grid_needs_three_distinct_points(self, tmp_path, capsys, overrides, grid):
         cfg = self.write_config(
             tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nnoise_model = bernoulli_logistic\n",
         )
-        assert main(["rate_check", cfg, override]) == 2
+        assert main(["rate_check", cfg, *overrides]) == 2
         err = capsys.readouterr().err
-        assert "at least 3 grid points, all distinct" in err and f"{key} gives" in err
+        assert "at least 3 grid points, all distinct" in err and f"grid_points gives {grid}" in err
         assert not os.path.exists(tmp_path / "out")
 
     def test_help(self, capsys):

@@ -294,6 +294,17 @@ class TestThresholdSweep:
         theta_bf, val_bf = brute_force_sweep(z, y, INST_F1, group_index=rows)
         assert (res.theta_hat, res.value) == (theta_bf, val_bf) == (-5.0, 1.0 / 6.0)
 
+    @pytest.mark.parametrize("top", [1e17, 1e300, -1e17])
+    def test_sentinel_lies_above_huge_scores(self, top):
+        # top + 1.0 == top here, so only a sentinel past nextafter(top)
+        # gives the all-negative labeling the sweep's value was scored on
+        z = np.array([top, top - abs(top) / 2])
+        y = np.array([0, 0])
+        res = threshold_sweep(z, y, ACC)
+        yhat = apply_threshold(z, res.theta_hat)
+        assert res.theta_hat > top and yhat.sum() == 0
+        assert res.value == eval_metric(ACC, confusion_micro(yhat, y)) == 1.0
+
     def test_grouped_needs_group_index(self):
         with pytest.raises(ValueError, match="group_index"):
             threshold_sweep(np.array([1.0]), np.array([1]), INST_F1)
