@@ -59,6 +59,7 @@ from .metrics import (
     MetricEval,
     MetricSpec,
     ThresholdResult,
+    all_negative_threshold,
     apply_threshold,
     confusion_grouped,
     confusion_micro,

@@ -160,18 +160,22 @@ def write_dataset(dataset, stream):
             stream.write(label_field + "\n")
 
 
-def mask_observations(Y, ratio, dist, seed):
-    """Observe round(ratio * n * L) entries of a full n x L label matrix.
+def mask_observations(Y, ratio, dist, seed, m=None):
+    """Observe round(ratio * n * L) entries of a full n x L label matrix,
+    or exactly m entries when ``m`` is given and ``ratio`` is None.
 
     Index pairs come from ``sample_omega``.
     """
-    if not 0.0 < ratio <= 1.0:
+    if (ratio is None) == (m is None):
+        raise ValueError("give exactly one of ratio and m")
+    if ratio is not None and not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
     Y = np.asarray(Y)
     if Y.ndim != 2:
         raise ValueError("labels must be a matrix")
     n, L = Y.shape
-    m = round(ratio * n * L)
+    if m is None:
+        m = round(ratio * n * L)
     rows, cols = sample_omega(n, L, m, dist, seed)
     return ObservationSet(n, L, rows, cols, Y[rows, cols].astype(float))
 

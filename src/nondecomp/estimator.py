@@ -56,9 +56,14 @@ class NumericalError(RuntimeError):
 
 
 class ObservationSet:
-    """Distinct observed (row, column, label) triples of an n x L matrix."""
+    """Distinct observed (row, column, label) triples of an n x L matrix.
 
-    __slots__ = ("n", "L", "rows", "cols", "values")
+    ``flat`` holds each entry's index rows * L + cols into the raveled
+    n x L matrix, so the solvers gather and scatter entries with one 1-d
+    index instead of a (rows, cols) pair.
+    """
+
+    __slots__ = ("n", "L", "rows", "cols", "values", "flat")
 
     def __init__(self, n, L, rows, cols, values):
         rows = np.asarray(rows, dtype=np.int64)
@@ -72,14 +77,17 @@ class ObservationSet:
             raise ValueError("observation indices out of range")
         if not np.all(np.isfinite(values)):
             raise ValueError("observation values must be finite")
-        codes = rows * L + cols
-        if len(np.unique(codes)) != len(codes):
+        flat = rows * L + cols
+        # sorting finds repeats faster than np.unique does
+        ordered = np.sort(flat)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate (row, col) pairs in observation set")
         self.n = int(n)
         self.L = int(L)
         self.rows = rows
         self.cols = cols
         self.values = values
+        self.flat = flat
 
     @property
     def size(self):
@@ -212,12 +220,17 @@ def _check_shapes(X, obs, W):
     return X, W
 
 
+def _gather(Z, obs):
+    """The observed entries of the n x L matrix Z, in the order of obs."""
+    return Z.ravel()[obs.flat]
+
+
 def _entry_scores(X, obs, W):
-    return (X @ W)[obs.rows, obs.cols]
+    return _gather(X @ W, obs)
 
 
-def _empirical_risk(X, obs, W, loss):
-    t = _entry_scores(X, obs, W)
+def _empirical_risk(obs, t, loss):
+    """Mean loss over the observed entries, given their scores t."""
     return float(np.mean(loss.value(t, obs.values)))
 
 
@@ -229,29 +242,31 @@ def objective(X, obs, W, config):
         reg = nuclear_norm(W)
     else:
         reg = nuclear_norm(X @ W)
-    return _empirical_risk(X, obs, W, config.loss) + lam * reg
+    return _empirical_risk(obs, _entry_scores(X, obs, W), config.loss) + lam * reg
 
 
 def _on_entries(obs, values):
     """The n x L array holding values at the observed entries, zero elsewhere."""
-    M = np.zeros((obs.n, obs.L))
-    M[obs.rows, obs.cols] = values
-    return M
+    M = np.zeros(obs.n * obs.L)
+    M[obs.flat] = values
+    return M.reshape(obs.n, obs.L)
+
+
+def _grad_at_scores(X, obs, t, loss):
+    """Gradient of the empirical risk in W, given the observed scores t."""
+    g = np.asarray(loss.grad_t(t, obs.values), dtype=float) / obs.size
+    return X.T @ _on_entries(obs, g)
 
 
 def grad_empirical(X, obs, W, loss):
     """Gradient of the empirical-risk term with respect to W (d x L)."""
     X, W = _check_shapes(X, obs, W)
-    t = _entry_scores(X, obs, W)
-    g = np.asarray(loss.grad_t(t, obs.values), dtype=float) / obs.size
-    return X.T @ _on_entries(obs, g)
+    return _grad_at_scores(X, obs, _entry_scores(X, obs, W), loss)
 
 
-def prox_nuclear(A, tau):
-    """Singular-value soft thresholding: the proximal map of tau * ||.||_*."""
-    A = np.asarray(A, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+def _svt(A, tau):
+    """Singular-value soft thresholding of A by tau: the thresholded matrix
+    and its singular values, whose sum is its nuclear norm."""
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -259,7 +274,15 @@ def prox_nuclear(A, tau):
             f"SVD failed on a {A.shape[0]}x{A.shape[1]} matrix "
             f"(max |entry| = {np.abs(A).max():.3e})"
         ) from exc
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
+    s = np.maximum(s - tau, 0.0)
+    return (U * s) @ Vt, s
+
+
+def prox_nuclear(A, tau):
+    """Singular-value soft thresholding: the proximal map of tau * ||.||_*."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    return _svt(np.asarray(A, dtype=float), tau)[0]
 
 
 def _rank_of(A):
@@ -308,7 +331,10 @@ def fit_prox_grad(X, obs, config):
     Uses backtracking line search on the smooth part: the step starts at
     1, halves on a rejected trial and doubles on an accepted one. Stops
     when the relative objective change drops below ``rel_tol`` or after
-    ``max_iters`` iterations.
+    ``max_iters`` iterations. Each step reuses what its last accepted
+    trial computed: the next gradient comes from that trial's observed
+    scores, and the penalty from the singular values its prox kept, so a
+    trial costs one product X W, one SVD and one loss evaluation.
 
     In score-norm mode the penalty is ||X W||_*. With the reduced
     factorization X = Q R, X W = Q U and ||X W||_* = ||U||_* for U = R W,
@@ -329,31 +355,34 @@ def fit_prox_grad(X, obs, config):
             raise NumericalError("score-norm mode needs features with full column rank")
     W = np.zeros((X.shape[1], obs.L))
 
-    # the step size and the smooth part f at W carry over between steps
-    f = _empirical_risk(X, obs, W, loss)
+    # the step size, and the observed scores t and smooth part f at W,
+    # carry over between steps
+    t = _entry_scores(X, obs, W)
+    f = _empirical_risk(obs, t, loss)
     step = 1.0
 
     def prox_step(W, F):
-        nonlocal f, step
-        G = grad_empirical(X, obs, W, loss)
+        nonlocal t, f, step
+        G = _grad_at_scores(X, obs, t, loss)
         while step >= 1e-18:
-            W_new = prox_nuclear(W - step * G, step * lam)
+            W_new, s = _svt(W - step * G, step * lam)
             diff = W_new - W
-            f_new = _empirical_risk(X, obs, W_new, loss)
-            F_new = f_new + lam * nuclear_norm(W_new)
+            t_new = _entry_scores(X, obs, W_new)
+            f_new = _empirical_risk(obs, t_new, loss)
+            F_new = f_new + lam * float(s.sum())
             if math.isnan(F_new):
                 raise NumericalError("objective became NaN in a proximal step")
             quad = f + float(np.sum(G * diff)) + float(np.sum(diff * diff)) / (2.0 * step)
             # the prox is exact, so the majorization alone implies descent;
             # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
-                f = f_new
+                t, f = t_new, f_new
                 step *= 2.0
                 return W_new, F_new
             step *= 0.5
         return None
 
-    F = f + lam * nuclear_norm(W)
+    F = f  # W = 0 has nuclear norm 0
     W, trace, stop_reason = _descend(prox_step, W, F, config.max_iters, config.rel_tol)
     if R is not None:
         # the loop ran in U = R W
@@ -452,12 +481,12 @@ def _factored_objective(X, obs, loss, lam):
     y = obs.values
 
     def fval(w):
-        t = ((X @ w[:d]) @ w[d:].T)[obs.rows, obs.cols]
+        t = _gather((X @ w[:d]) @ w[d:].T, obs)
         return float(np.sum(loss.value(t, y))) / m + 0.5 * lam * float(np.sum(w * w))
 
     def gauss_newton(w):
         A, W2 = X @ w[:d], w[d:]
-        t = (A @ W2.T)[obs.rows, obs.cols]
+        t = _gather(A @ W2.T, obs)
         M = _on_entries(obs, np.asarray(loss.grad_t(t, y), dtype=float) / m)
         G = np.vstack([X.T @ (M @ W2), M.T @ A]) + lam * w
         # PU-corrected losses can have negative curvature; clipping keeps

@@ -34,7 +34,6 @@ from .dataset_io import (
 from .estimator import (
     DenseModel,
     FactoredModel,
-    ObservationSet,
     SolverConfig,
     fit_alt_min,
     fit_plugin_baseline,
@@ -44,6 +43,7 @@ from .estimator import (
 )
 from .losses import PULossWrapper, get_loss
 from .metrics import (
+    all_negative_threshold,
     apply_threshold,
     confusion_grouped,
     confusion_micro,
@@ -60,7 +60,6 @@ from .sampler import (
     generate_problem,
     pu_flip,
     sample_labels,
-    sample_omega,
 )
 
 __all__ = [
@@ -228,8 +227,7 @@ def _tune_threshold(spec, z_obs, y_obs, rows, cols):
     theta = result.theta_hat
     degenerate = result.value == 0.0
     if degenerate:
-        top = float(np.max(z_obs))
-        theta = max(top + 1.0, float(np.nextafter(top, np.inf)))
+        theta = all_negative_threshold(z_obs)
     return theta, result, degenerate
 
 
@@ -573,8 +571,7 @@ def cmd_rate_check(cfg):
         mode, m = cell
         seed_r = cfg.seed + rep
         prob = problems[rep]
-        rows, cols = sample_omega(cfg.n, cfg.L, m, OmegaDistribution.uniform(), seed_r)
-        obs = ObservationSet(cfg.n, cfg.L, rows, cols, prob.Y[rows, cols].astype(float))
+        obs = mask_observations(prob.Y, None, OmegaDistribution.uniform(), seed_r, m=m)
         sconf = _solver_config(cfg, get_loss(cfg.loss), seed_r, regularizer_mode=mode)
         model, _ = fit_prox_grad(prob.X, obs, sconf)
         return recovery_error(model.W, prob.W_star)

@@ -30,10 +30,16 @@ _EXP_CAP = 700.0
 
 
 def sigmoid(t):
-    """Numerically stable logistic function 1 / (1 + exp(-t))."""
+    """Numerically stable logistic function 1 / (1 + exp(-t)).
+
+    With e = exp(-|t|) <= 1 it is 1 / (1 + e) for t >= 0 and e / (1 + e)
+    otherwise, formed as one division of the chosen numerator. exp
+    underflowing to 0 is the exact limit, so that underflow is not flagged.
+    """
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _signed(y):
@@ -71,7 +77,11 @@ class LogisticLoss(ProperLoss):
     name = "logistic"
 
     def value(self, t, y):
-        return np.logaddexp(0.0, -_signed(y) * np.asarray(t, dtype=float))
+        # log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), the formula
+        # np.logaddexp(0, x) evaluates, without its general two-argument path
+        x = -_signed(y) * np.asarray(t, dtype=float)
+        with np.errstate(under="ignore"):
+            return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def grad_t(self, t, y):
         ys = _signed(y)

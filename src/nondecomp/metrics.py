@@ -28,6 +28,7 @@ __all__ = [
     "eval_metric",
     "eval_metric_info",
     "apply_threshold",
+    "all_negative_threshold",
     "threshold_sweep",
 ]
 
@@ -225,12 +226,23 @@ def apply_threshold(z, theta):
     return (z >= theta).astype(np.int8)
 
 
+def all_negative_threshold(z):
+    """The finite threshold just above every score of z, which labels every
+    entry negative. Raises ValueError when the top score is the largest
+    finite float, above which no finite threshold lies."""
+    top = float(np.max(z))
+    if top >= np.finfo(float).max:
+        raise ValueError("scores must lie below the largest finite float")
+    return max(top + 1.0, float(np.nextafter(top, np.inf)))  # top + 1.0 == top past 2**53
+
+
 def threshold_sweep(z, y, spec, group_index=None):
     """Find the threshold maximizing a metric over all achievable labelings.
 
     Candidates are the distinct observed scores (a candidate equal to a
     score marks that entry positive) plus one sentinel strictly above the
-    maximum, which yields the all-negative labeling. In micro mode,
+    maximum, ``all_negative_threshold(z)``, which yields the all-negative
+    labeling; scores with no finite sentinel are rejected. In micro mode,
     cumulative counts over the distinct scores give the exact ratio at
     every candidate. In the grouped modes, one sort of the entries by
     (group, score), per-group cumulative counts and per-candidate sums of
@@ -250,6 +262,7 @@ def threshold_sweep(z, y, spec, group_index=None):
         raise ValueError("empty observation set")
     if not np.all(np.isfinite(z)):
         raise ValueError("scores must be finite")
+    sentinel = all_negative_threshold(z)
     y = _as_binary(y, "labels")
     if z.shape != y.shape:
         raise ValueError("scores and labels must be indexed by the same entries")
@@ -267,8 +280,6 @@ def threshold_sweep(z, y, spec, group_index=None):
     else:
         ginv = np.unique(group_index, return_inverse=True)[1]
         k, best = _sweep_grouped(spec, inv, y == 1, ginv, n_distinct)
-    top = float(vals_asc[-1])
-    sentinel = max(top + 1.0, float(np.nextafter(top, np.inf)))  # top + 1.0 == top past 2**53
     theta = float(vals_asc[k]) if k < n_distinct else sentinel
     return ThresholdResult(theta_hat=theta, value=best, candidates_evaluated=n_distinct + 1)
 

@@ -20,7 +20,7 @@ from nondecomp.dataset_io import (
     write_results_csv,
 )
 from nondecomp.estimator import DenseModel, FactoredModel, predict_scores
-from nondecomp.sampler import OmegaDistribution
+from nondecomp.sampler import OmegaDistribution, sample_omega
 
 SAMPLE = "2 3 2\n0 0:1.0 2:-0.5\n1 1:2.0\n"
 
@@ -133,6 +133,20 @@ class TestMaskObservations:
             mask_observations(Y, 0.0, OmegaDistribution.uniform(), seed=0)
         with pytest.raises(ValueError):
             mask_observations(Y, 1.2, OmegaDistribution.uniform(), seed=0)
+
+    @pytest.mark.parametrize("m", [1, 37, 200])
+    def test_count_draws_the_pairs_sample_omega_draws(self, m):
+        Y = np.random.default_rng(5).integers(0, 2, size=(20, 10))
+        obs = mask_observations(Y, None, OmegaDistribution.uniform(), seed=7, m=m)
+        rows, cols = sample_omega(20, 10, m, OmegaDistribution.uniform(), 7)
+        np.testing.assert_array_equal(obs.rows, rows)
+        np.testing.assert_array_equal(obs.cols, cols)
+        np.testing.assert_array_equal(obs.values, Y[rows, cols].astype(float))
+
+    @pytest.mark.parametrize("ratio, m", [(None, None), (0.5, 8), (None, 0), (None, 17)])
+    def test_count_needs_exactly_one_valid_size(self, ratio, m):
+        with pytest.raises(ValueError):
+            mask_observations(np.zeros((4, 4)), ratio, OmegaDistribution.uniform(), 0, m=m)
 
 
 class TestModelRoundTrip:

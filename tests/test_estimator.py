@@ -66,6 +66,9 @@ class TestObservationSet:
         assert (obs.n, obs.L, obs.size) == (n, L, len(rows))
         assert obs.rows.tolist() == rows and obs.cols.tolist() == cols
         assert obs.values.tolist() == values
+        # the flat index picks the same entries as the (row, col) pairs
+        Z = np.arange(n * L, dtype=float).reshape(n, L)
+        assert Z.ravel()[obs.flat].tolist() == Z[rows, cols].tolist()
 
     @settings(max_examples=25)
     @given(case=observation_triples(), data=st.data())
@@ -291,6 +294,22 @@ class TestFitProxGrad:
             _, report = fit_prox_grad(X, obs, cfg)
             trace = np.asarray(report.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
+
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_trace_ends_at_the_recomputed_objective(self, mode):
+        # the loop reuses each accepted trial's scores and takes the penalty
+        # from the singular values its prox kept; both must agree with the
+        # objective evaluated from scratch at the returned W
+        rng = np.random.default_rng(21)
+        X, obs = random_instance(rng, 40, 5, 8)
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.005,
+                           regularizer_mode=mode, max_iters=200, rel_tol=1e-9)
+        model, report = fit_prox_grad(X, obs, cfg)
+        assert report.iterations > 5
+        assert report.objective_trace[-1] == pytest.approx(
+            objective(X, obs, model.W, cfg), rel=1e-12
+        )
+        assert np.all(np.diff(report.objective_trace) <= 0.0)
 
     def test_nuclear_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(10)

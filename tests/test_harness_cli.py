@@ -172,6 +172,14 @@ class TestFitThresholdEval:
         assert degenerate and result.value == 0.0
         assert theta > z.max()
 
+    def test_sentinel_fallback_rejects_scores_at_the_largest_float(self):
+        z = np.array([np.finfo(float).max, 0.0])
+        y = np.zeros(2, dtype=np.int8)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="largest finite"):
+            harness._tune_threshold(
+                get_metric("micro_f1"), z, y, np.zeros(2, dtype=int), np.arange(2)
+            )
+
     def test_huge_lambda_yields_constant_predictor(self, tmp_path):
         cfg = small_cfg("fit", tmp_path, lambda_reg=50.0)
         cmd_fit(cfg)

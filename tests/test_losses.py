@@ -146,6 +146,50 @@ class TestPUWrapper:
             PULossWrapper(get_loss("logistic"), -0.1)
 
 
+def reference_sigmoid(t):
+    """The two-branch logistic function, each branch divided out in full."""
+    t = np.asarray(t, dtype=float)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ulps_apart(a, b):
+    """Distance between a and b in units of the spacing of doubles at b."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+KERNEL_ARGS = np.concatenate((
+    [0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308],
+    np.random.default_rng(0).normal(scale=20.0, size=2000),
+))
+
+
+class TestLogisticKernels:
+    """The logistic kernels against the textbook formulas, to a few ulps."""
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_value_grad_hess_match_reference(self, y):
+        loss = get_loss("logistic")
+        t, ys = KERNEL_ARGS, 2.0 * y - 1.0
+        labels = np.full_like(t, y)
+        with np.errstate(all="raise"):
+            got = (loss.value(t, labels), loss.grad_t(t, labels), loss.hess_t(t, labels))
+        with np.errstate(under="ignore"):
+            s = reference_sigmoid(t)
+            want = (np.logaddexp(0.0, -ys * t), -ys * reference_sigmoid(-ys * t), s * (1.0 - s))
+        for g, w in zip(got, want):
+            assert np.all(np.isfinite(g))
+            assert ulps_apart(g, w).max() <= 4.0
+
+    def test_sigmoid_matches_reference(self):
+        with np.errstate(all="raise"):
+            got = sigmoid(KERNEL_ARGS)
+        with np.errstate(under="ignore"):
+            want = reference_sigmoid(KERNEL_ARGS)
+        assert ulps_apart(got, want).max() <= 4.0
+        assert float(sigmoid(0.0)) == 0.5
+
+
 class TestStableHelpers:
     def test_sigmoid_extremes(self):
         assert float(sigmoid(800.0)) == 1.0

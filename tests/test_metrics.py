@@ -305,6 +305,13 @@ class TestThresholdSweep:
         assert res.theta_hat > top and yhat.sum() == 0
         assert res.value == eval_metric(ACC, confusion_micro(yhat, y)) == 1.0
 
+    def test_scores_with_no_finite_sentinel_rejected(self):
+        # nextafter(max float, inf) is inf, so no finite theta labels all negative
+        z = np.array([np.finfo(float).max, 0.0])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="largest finite"):
+            threshold_sweep(z, np.array([0, 0]), ACC)
+        assert threshold_sweep(np.nextafter(z, 0.0), np.array([0, 0]), ACC).theta_hat < np.inf
+
     def test_grouped_needs_group_index(self):
         with pytest.raises(ValueError, match="group_index"):
             threshold_sweep(np.array([1.0]), np.array([1]), INST_F1)
