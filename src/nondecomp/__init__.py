@@ -47,7 +47,6 @@ from .losses import (
     ExponentialLoss,
     GaussianLoss,
     LogisticLoss,
-    ProperLoss,
     PULossWrapper,
     SquaredLoss,
     get_loss,

@@ -7,7 +7,7 @@ Usage::
 Tasks: synth, fit, threshold, eval, convergence, compare, rate_check.
 The config file holds flat ``key = value`` lines (lists comma-separated);
 any key can be overridden on the command line. Exit codes: 0 success,
-1 numerical failure, 2 usage or input error.
+1 numerical failure, 2 usage, input or output error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _OVERRIDE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)=(.*)$", re.DOTALL)
 USAGE = (
     "usage: nondecomp <task> <config-file> [--key=value ...]\n"
     f"tasks: {', '.join(TASKS)}\n"
-    "exit codes: 0 success, 1 numerical failure, 2 usage/input error"
+    "exit codes: 0 success, 1 numerical failure, 2 usage/input/output error"
 )
 
 
@@ -68,6 +68,10 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # an output that cannot be written; inputs are read behind UsageError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # invalid names or values reaching the library surface
         print(f"error: {exc}", file=sys.stderr)

@@ -141,6 +141,8 @@ class ExperimentConfig:
         return cfg
 
     def _validate(self):
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.repeats < 1:
             raise UsageError("repeats must be at least 1")
         if not 0.0 < self.ratio <= 1.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +155,7 @@ def write_dataset(dataset, stream):
     for labs, feats in zip(dataset.labels, dataset.features):
         label_field = ",".join(str(j) for j in sorted(labs))
         tokens = [f"{j}:{v!r}" for j, v in sorted(feats, key=lambda p: p[0])]
-        if tokens:
-            stream.write(label_field + " " + " ".join(tokens) + "\n")
-        else:
-            stream.write(label_field + "\n")
+        stream.write(" ".join([label_field, *tokens]) + "\n")
 
 
 def mask_observations(Y, ratio, dist, seed, m=None):
@@ -212,23 +210,18 @@ def _read_matrix(lines, start, shape, what):
 
 def save_model(model, stream):
     """Write a model as text with full float precision."""
-    theta = "none" if model.theta is None else f"{model.theta:.17g}"
     if isinstance(model, DenseModel):
-        d, L = model.W.shape
-        stream.write("nondecomp-model dense\n")
-        stream.write(f"dims {d} {L}\n")
-        stream.write(f"theta {theta}\n")
-        _write_matrix(stream, model.W)
+        kind, dims, matrices = "dense", model.W.shape, (model.W,)
     elif isinstance(model, FactoredModel):
-        d, k = model.W1.shape
-        L = model.W2.shape[0]
-        stream.write("nondecomp-model factored\n")
-        stream.write(f"dims {d} {L} {k}\n")
-        stream.write(f"theta {theta}\n")
-        _write_matrix(stream, model.W1)
-        _write_matrix(stream, model.W2)
+        # W2 is L x k, so the dims read "d L k"
+        kind, matrices = "factored", (model.W1, model.W2)
+        dims = (model.W1.shape[0], *model.W2.shape)
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
+    theta = "none" if model.theta is None else f"{model.theta:.17g}"
+    stream.write(f"nondecomp-model {kind}\ndims {' '.join(map(str, dims))}\ntheta {theta}\n")
+    for A in matrices:
+        _write_matrix(stream, A)
 
 
 def load_model(stream):
@@ -292,36 +285,26 @@ class ResultRow:
             raise ValueError("stderr must be nonnegative")
 
 
-def _result_fields(row):
-    return (row.method, row.metric_name, row.split,
-            repr(float(row.value)), repr(float(row.stderr)), row.config_hash)
+def _result_table(rows, header):
+    """CSV records of ResultRows, after the column names when ``header``."""
+    records = [(row.method, row.metric_name, row.split,
+                repr(float(row.value)), repr(float(row.stderr)), row.config_hash)
+               for row in rows]
+    if not records:
+        raise ValueError("empty result table")
+    return [RESULT_COLUMNS] * header + records
 
 
 def write_results_csv(rows, stream):
     """Serialize ResultRows with the fixed column order."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("empty result table")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow(_result_fields(row))
+    csv.writer(stream, lineterminator="\n").writerows(_result_table(rows, header=True))
 
 
 def append_results_csv(rows, path):
     """Append rows to a results CSV, writing the header only when new."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("empty result table")
-    import os
-
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    table = _result_table(rows, header=not os.path.exists(path) or os.path.getsize(path) == 0)
     with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(_result_fields(row))
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 @dataclass(frozen=True)

@@ -318,11 +318,13 @@ def _metric_specs(cfg):
         raise UsageError(f"metrics: {exc}") from None
 
 
-def _ensure_out_dir(cfg):
+def _out_path(cfg, name):
+    """Path of an output file in out_dir, which is created on first use."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from None
+    return os.path.join(cfg.out_dir, name)
 
 
 def _model_path(cfg):
@@ -353,11 +355,10 @@ def cmd_synth(cfg):
     features = [[(j, float(X[i, j])) for j in range(cfg.d)] for i in range(cfg.n)]
     labels = [set(np.flatnonzero(Y[i] == 1).tolist()) for i in range(cfg.n)]
     ds = SparseDataset(n=cfg.n, d=cfg.d, L=cfg.L, features=features, labels=labels)
-    _ensure_out_dir(cfg)
-    data_path = os.path.join(cfg.out_dir, "dataset.txt")
+    data_path = _out_path(cfg, "dataset.txt")
     with open(data_path, "w") as fh:
         write_dataset(ds, fh)
-    truth_path = os.path.join(cfg.out_dir, "wstar.txt")
+    truth_path = _out_path(cfg, "wstar.txt")
     with open(truth_path, "w") as fh:
         save_model(DenseModel(W=W_star), fh)
     print(f"synth: wrote {data_path} and {truth_path}")
@@ -366,14 +367,18 @@ def cmd_synth(cfg):
 
 def cmd_fit(cfg):
     """Fit the configured solver and persist the model and objective trace."""
+    # a model_path in a missing directory fails here, not after the fit;
+    # out_dir itself is created before the first write
+    folder = os.path.dirname(cfg.model_path or "") or "."
+    if not os.path.isdir(folder) and os.path.abspath(folder) != os.path.abspath(cfg.out_dir):
+        raise UsageError(f"model_path {cfg.model_path!r}: directory {folder!r} does not exist")
     prob = _load_problem(cfg, cfg.seed)
     obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
-    _ensure_out_dir(cfg)
+    trace_path = _out_path(cfg, "trace.csv")
     path = _model_path(cfg)
     with open(path, "w") as fh:
         save_model(model, fh)
-    trace_path = os.path.join(cfg.out_dir, "trace.csv")
     with open(trace_path, "w") as fh:
         fh.write("iteration,objective\n")
         for i, val in enumerate(report.objective_trace):
@@ -437,8 +442,7 @@ def cmd_eval(cfg):
         out_rows.append(ResultRow(method, name, split, info.value, 0.0, cfg.config_hash()))
         flag = f" degenerate_groups={info.degenerate_groups}" if info.degenerate_groups else ""
         print(f"eval: {name} [{split}] = {info.value:.6g}{flag}")
-    _ensure_out_dir(cfg)
-    results_path = os.path.join(cfg.out_dir, "results.csv")
+    results_path = _out_path(cfg, "results.csv")
     append_results_csv(out_rows, results_path)
     return {"rows": out_rows, "results_path": results_path}
 
@@ -474,8 +478,7 @@ def cmd_convergence(cfg):
     }
 
     chash = cfg.config_hash()
-    _ensure_out_dir(cfg)
-    csv_path = os.path.join(cfg.out_dir, "convergence.csv")
+    csv_path = _out_path(cfg, "convergence.csv")
     with open(csv_path, "w") as fh:
         fh.write("method,metric_name,ratio,mean,sd,config_hash\n")
         for (method, name, ratio) in sorted(summary):
@@ -490,7 +493,7 @@ def cmd_convergence(cfg):
             xs = tuple(sorted(cfg.ratios))
             ys = tuple(summary[(method, name, r)][0] for r in xs)
             series.append(PlotSeries(name=method, x=xs, y=ys))
-        svg_path = os.path.join(cfg.out_dir, f"convergence_{name}.svg")
+        svg_path = _out_path(cfg, f"convergence_{name}.svg")
         with open(svg_path, "w") as fh:
             emit_plot(series, fh, xlabel="sampling ratio", ylabel=name)
         plot_paths.append(svg_path)
@@ -521,8 +524,7 @@ def cmd_compare(cfg):
         for name in cfg.metrics:
             mean, sd = _mean_sd([o[name] for o in outcomes[method]])
             rows.append(ResultRow(method, name, split, mean, sd / np.sqrt(cfg.repeats), chash))
-    _ensure_out_dir(cfg)
-    csv_path = os.path.join(cfg.out_dir, "compare.csv")
+    csv_path = _out_path(cfg, "compare.csv")
     with open(csv_path, "w") as fh:
         write_results_csv(rows, fh)
     for row in rows:
@@ -584,8 +586,7 @@ def cmd_rate_check(cfg):
     slope = float(np.polyfit(log_m, log_err, 1)[0])
 
     chash = cfg.config_hash()
-    _ensure_out_dir(cfg)
-    csv_path = os.path.join(cfg.out_dir, "rate_check.csv")
+    csv_path = _out_path(cfg, "rate_check.csv")
     with open(csv_path, "w") as fh:
         fh.write("mode,omega,error_mean,error_sd,config_hash\n")
         for (mode, m) in sorted(points):

@@ -3,8 +3,12 @@ wrapper.
 
 Losses take labels y in {0, 1} and map them internally to the +/-1
 convention their margin formulas are written in; the Gaussian likelihood
-loss is the exception and consumes real-valued labels directly. All
-methods are vectorized over numpy arrays and accept plain scalars.
+loss is the exception and consumes real-valued labels directly.
+
+A loss is any object with a ``name`` and three methods the solvers call:
+``value(t, y)``, its derivative ``grad_t(t, y)`` in the score t, and its
+second derivative ``hess_t(t, y)`` (for the Newton steps). All are
+vectorized over numpy arrays and accept plain scalars.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ProperLoss",
     "LogisticLoss",
     "SquaredLoss",
     "ExponentialLoss",
@@ -47,31 +50,7 @@ def _signed(y):
     return 2.0 * np.asarray(y, dtype=float) - 1.0
 
 
-class ProperLoss:
-    """A strongly proper composite loss.
-
-    Subclasses provide the pointwise value and its first and second
-    derivatives in the score, which is all the solvers use.
-    """
-
-    name = "?"
-
-    def value(self, t, y):
-        raise NotImplementedError
-
-    def grad_t(self, t, y):
-        """Derivative of ``value`` with respect to the score t."""
-        raise NotImplementedError
-
-    def hess_t(self, t, y):
-        """Second derivative of ``value`` in t (for Newton sub-solvers)."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-
-class LogisticLoss(ProperLoss):
+class LogisticLoss:
     """log(1 + exp(-y~ t)) with y~ = 2y - 1; the Bernoulli log-likelihood."""
 
     name = "logistic"
@@ -88,11 +67,14 @@ class LogisticLoss(ProperLoss):
         return -ys * sigmoid(-ys * np.asarray(t, dtype=float))
 
     def hess_t(self, t, y):
-        s = sigmoid(t)
-        return s * (1.0 - s)
+        # sigmoid(t) * sigmoid(-t) = e / (1 + e)^2 with e = exp(-|t|); the
+        # form s * (1 - s) cancels to 0 once sigmoid(|t|) rounds to 1
+        with np.errstate(under="ignore"):
+            e = np.exp(-np.abs(np.asarray(t, dtype=float)))
+        return e / (1.0 + e) ** 2
 
 
-class SquaredLoss(ProperLoss):
+class SquaredLoss:
     """Margin-form squared loss (1 - y~ t)^2 with y~ = 2y - 1."""
 
     name = "squared"
@@ -110,7 +92,7 @@ class SquaredLoss(ProperLoss):
         return 2.0 * ys * ys
 
 
-class ExponentialLoss(ProperLoss):
+class ExponentialLoss:
     """exp(-y~ t) with y~ = 2y - 1; gradients clamped to +/-1e6."""
 
     name = "exponential"
@@ -130,7 +112,7 @@ class ExponentialLoss(ProperLoss):
         return np.clip(h, 0.0, _GRAD_CLAMP)
 
 
-class GaussianLoss(ProperLoss):
+class GaussianLoss:
     """Squared-error likelihood 0.5 (t - y)^2 for real-valued observations.
 
     Labels pass through unmapped; this is the loss to fit under the
@@ -191,9 +173,6 @@ class PULossWrapper:
 
     def hess_t(self, t, y):
         return self._combine(self.base.hess_t, t, y)
-
-    def __repr__(self):
-        return f"PULossWrapper({self.base!r}, rho={self.rho})"
 
 
 _LOSSES = {

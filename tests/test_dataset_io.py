@@ -76,10 +76,12 @@ class TestParseDataset:
 
 class TestWriteDataset:
     def test_round_trip_bytes(self):
-        ds = parse_dataset(io.StringIO(SAMPLE))
-        buf = io.StringIO()
-        write_dataset(ds, buf)
-        assert buf.getvalue() == SAMPLE
+        # the last two rows of the second text: labels without features, and neither
+        for text in (SAMPLE, "4 3 2\n0 0:1.0 2:-0.5\n1 1:2.0\n0,1\n\n"):
+            ds = parse_dataset(io.StringIO(text))
+            buf = io.StringIO()
+            write_dataset(ds, buf)
+            assert buf.getvalue() == text
 
     def test_round_trip_logical(self):
         rng = np.random.default_rng(0)
@@ -169,6 +171,25 @@ class TestModelRoundTrip:
         X = rng.normal(size=(5, 4))
         assert back.theta is None
         assert np.max(np.abs(predict_scores(X, back) - predict_scores(X, model))) < 1e-12
+
+    def test_dense_bytes(self):
+        model = DenseModel(W=np.array([[1.0, -0.5], [0.1, 2.0], [3.0, 0.0]]), theta=0.25)
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert buf.getvalue() == (
+            "nondecomp-model dense\ndims 3 2\ntheta 0.25\n"
+            "1 -0.5\n0.10000000000000001 2\n3 0\n"
+        )
+
+    def test_factored_bytes(self):
+        # d = 2, L = 3, k = 1, so the dims line shows each size in its place
+        model = FactoredModel(W1=np.array([[1.5], [-2.0]]), W2=np.array([[0.5], [1e-300], [-7.0]]))
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert buf.getvalue() == (
+            "nondecomp-model factored\ndims 2 3 1\ntheta none\n"
+            "1.5\n-2\n0.5\n1e-300\n-7\n"
+        )
 
     def test_corrupted_header(self):
         with pytest.raises(ModelFormatError, match="header"):

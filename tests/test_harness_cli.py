@@ -601,6 +601,7 @@ class TestCli:
         (["--solver=plugin", "--ridge=inf"], "ridge"),
         (["--solver=plugin", "--ridge=-1"], "ridge"),
         (["--rel_tol=inf"], "rel_tol"),
+        (["--seed=-1"], "seed"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
@@ -614,6 +615,33 @@ class TestCli:
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
         assert main(["fit", cfg, "--solver=plugin"]) == 2
         assert "cannot create out_dir" in capsys.readouterr().err
+
+    def test_model_path_in_missing_dir_exits_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        def no_data(*args):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(harness, "_load_problem", no_data)
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        path = tmp_path / "absent" / "model.txt"
+        assert main(["fit", cfg, f"--model_path={path}"]) == 2
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert "model_path" in error_line and str(path) in error_line
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, f"--model_path={tmp_path}/out/m.txt"]) == 0
+        assert os.path.exists(tmp_path / "out" / "m.txt")
+
+    def test_unwritable_results_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        results = tmp_path / "out" / "results.csv"
+        results.mkdir()
+        capsys.readouterr()
+        assert main(["eval", cfg]) == 2
+        assert str(results) in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [
         ("--metrics=", "metrics"),

@@ -175,11 +175,18 @@ class TestLogisticKernels:
         with np.errstate(all="raise"):
             got = (loss.value(t, labels), loss.grad_t(t, labels), loss.hess_t(t, labels))
         with np.errstate(under="ignore"):
-            s = reference_sigmoid(t)
-            want = (np.logaddexp(0.0, -ys * t), -ys * reference_sigmoid(-ys * t), s * (1.0 - s))
+            hess = reference_sigmoid(t) * reference_sigmoid(-t)
+            want = (np.logaddexp(0.0, -ys * t), -ys * reference_sigmoid(-ys * t), hess)
         for g, w in zip(got, want):
             assert np.all(np.isfinite(g))
             assert ulps_apart(g, w).max() <= 4.0
+
+    def test_hess_keeps_its_tail(self):
+        # s * (1 - s) rounds to 0 from t = 37; the curvature is about exp(-|t|)
+        t = np.array([37.0, 40.0, -37.0, -40.0])
+        got = get_loss("logistic").hess_t(t, np.ones_like(t))
+        assert np.all(got > 0)
+        assert np.allclose(got, np.exp(-np.abs(t)), rtol=1e-15)
 
     def test_sigmoid_matches_reference(self):
         with np.errstate(all="raise"):
