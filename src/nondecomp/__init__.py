@@ -70,7 +70,6 @@ from .metrics import (
 from .sampler import (
     NOISE_MODELS,
     OmegaDistribution,
-    PUSpec,
     SyntheticSpec,
     gen_features,
     gen_lowrank_W,

@@ -43,7 +43,7 @@ class DatasetFormatError(ValueError):
 
 
 class ModelFormatError(ValueError):
-    """Malformed or truncated model file."""
+    """Malformed or truncated model file; names the offending line."""
 
 
 @dataclass
@@ -108,12 +108,7 @@ def parse_dataset(stream):
     labels = []
     for i in range(n):
         line_no = i + 2
-        line = lines[i + 1]
-        sep = line.find(" ")
-        if sep == -1:
-            label_field, feat_field = line, ""
-        else:
-            label_field, feat_field = line[:sep], line[sep + 1:]
+        label_field, _, feat_field = lines[i + 1].partition(" ")
         labs = set()
         if label_field:
             for tok in label_field.split(","):
@@ -128,8 +123,6 @@ def parse_dataset(stream):
         seen = set()
         for tok in feat_field.split():
             idx_s, _, val_s = tok.partition(":")
-            if not val_s:
-                _fail(line_no, f"bad feature token {tok!r}")
             try:
                 j = int(idx_s)
                 v = float(val_s)
@@ -228,17 +221,19 @@ def load_model(stream):
     """Inverse of save_model."""
     lines = stream.read().split("\n")
     if len(lines) < 3:
-        raise ModelFormatError("truncated stream: missing header")
+        # name the first header line the stream lacks; a final "" ends the last line
+        missing = len(lines) + (lines[-1] != "")
+        raise ModelFormatError(f"line {missing}: truncated stream: missing header")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "nondecomp-model" or head[1] not in ("dense", "factored"):
-        raise ModelFormatError(f"bad header line {lines[0]!r}")
+        raise ModelFormatError(f"line 1: bad header line {lines[0]!r}")
     kind = head[1]
     dims = lines[1].split()
     theta_line = lines[2].split()
     if not dims or dims[0] != "dims":
-        raise ModelFormatError("missing dims line")
+        raise ModelFormatError("line 2: missing dims line")
     if len(theta_line) != 2 or theta_line[0] != "theta":
-        raise ModelFormatError("missing theta line")
+        raise ModelFormatError("line 3: missing theta line")
     try:
         theta = None if theta_line[1] == "none" else float(theta_line[1])
     except ValueError:

@@ -390,15 +390,6 @@ def fit_prox_grad(X, obs, config):
     return DenseModel(W=W), _report(trace, stop_reason, W)
 
 
-def _by_column(obs):
-    """Index arrays of the observed entries of each column."""
-    order = np.argsort(obs.cols, kind="stable")
-    sorted_cols = obs.cols[order]
-    starts = np.searchsorted(sorted_cols, np.arange(obs.L), side="left")
-    ends = np.searchsorted(sorted_cols, np.arange(obs.L), side="right")
-    return [order[starts[j]:ends[j]] for j in range(obs.L)]
-
-
 def _cg_solve(matvec, B, tol, max_iter=40):
     """Conjugate gradient for matvec(S) = B over matrices, stopped at a
     residual of tol * ||B||; returns the last iterate if curvature turns
@@ -557,8 +548,10 @@ def fit_plugin_baseline(X, obs, ridge):
     loss = LogisticLoss()
     y = obs.values
     # each entry weighs 1 / m_j, for the m_j observed entries of its label
-    weight = 1.0 / np.bincount(obs.cols, minlength=obs.L)[obs.cols]
-    cols_idx = _by_column(obs)
+    counts = np.bincount(obs.cols, minlength=obs.L)
+    weight = 1.0 / counts[obs.cols]
+    # the index arrays of each label's entries, in entry order
+    cols_idx = np.split(np.argsort(obs.cols, kind="stable"), np.cumsum(counts)[:-1])
     eye = np.eye(X.shape[1])
 
     def fval(W):

@@ -53,7 +53,6 @@ from .metrics import (
 )
 from .sampler import (
     OmegaDistribution,
-    PUSpec,
     SyntheticSpec,
     gen_features,
     gen_lowrank_W,
@@ -71,7 +70,6 @@ __all__ = [
     "cmd_convergence",
     "cmd_compare",
     "cmd_rate_check",
-    "RateCheckResult",
 ]
 
 
@@ -178,7 +176,7 @@ def _train_observations(cfg, prob, seed, ratio):
         _binary_required(Y, f"loss = {cfg.loss}")
     if cfg.pu_rho > 0.0:
         _binary_required(prob.Y, "positive-unlabeled flipping")
-        Y, ratio = pu_flip(prob.Y, PUSpec(cfg.pu_rho), seed), 1.0
+        Y, ratio = pu_flip(prob.Y, cfg.pu_rho, seed), 1.0
         loss = PULossWrapper(loss, cfg.pu_rho)
     return mask_observations(Y, ratio, OmegaDistribution.uniform(), seed), loss
 
@@ -231,16 +229,12 @@ def _tune_threshold(spec, z_obs, y_obs, rows, cols):
     return theta, result, degenerate
 
 
-def _full_grid(n, L):
-    return np.repeat(np.arange(n), L), np.tile(np.arange(L), n)
-
-
 def _evaluate(cfg, model, X, Y, tuned):
     """MetricEval of every entry of the label matrix Y, for each name in
     ``tuned``, which maps a metric name to its (spec, threshold)."""
-    rows, cols = _full_grid(*Y.shape)
-    z = predict_scores(X, model, cfg.gamma_clip)[rows, cols]
-    y = Y[rows, cols]
+    z = predict_scores(X, model, cfg.gamma_clip).ravel()
+    y = Y.ravel()
+    rows, cols = np.divmod(np.arange(Y.size), Y.shape[1])
     infos = {}
     for name, (spec, theta) in tuned.items():
         yhat = apply_threshold(z, theta)
@@ -367,16 +361,18 @@ def cmd_synth(cfg):
 
 def cmd_fit(cfg):
     """Fit the configured solver and persist the model and objective trace."""
-    # a model_path in a missing directory fails here, not after the fit;
-    # out_dir itself is created before the first write
+    # a model_path that is a directory or lies in a missing one fails here,
+    # not after the fit; out_dir itself is created before the first write
+    path = _model_path(cfg)
     folder = os.path.dirname(cfg.model_path or "") or "."
     if not os.path.isdir(folder) and os.path.abspath(folder) != os.path.abspath(cfg.out_dir):
         raise UsageError(f"model_path {cfg.model_path!r}: directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"model_path {path!r} is a directory")
     prob = _load_problem(cfg, cfg.seed)
     obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
     trace_path = _out_path(cfg, "trace.csv")
-    path = _model_path(cfg)
     with open(path, "w") as fh:
         save_model(model, fh)
     with open(trace_path, "w") as fh:
@@ -535,15 +531,6 @@ def cmd_compare(cfg):
     return {"rows": rows, "csv_path": csv_path}
 
 
-@dataclass
-class RateCheckResult:
-    """Log-log slope of the recovery error plus the per-point errors."""
-
-    slope: float
-    points: dict
-    csv_path: str
-
-
 def cmd_rate_check(cfg):
     """Recovery-error decay against the number of observed entries.
 
@@ -594,7 +581,7 @@ def cmd_rate_check(cfg):
             fh.write(f"{mode},{m},{_fmt(mean)},{_fmt(sd)},{chash}\n")
             print(f"rate_check: {mode} omega={m} error={mean:.6g} sd={sd:.3g}")
     print(f"rate_check: param_norm log-log slope = {slope:.4f}")
-    return RateCheckResult(slope=slope, points=points, csv_path=csv_path)
+    return {"slope": slope, "points": points, "csv_path": csv_path}
 
 
 _COMMANDS = {

@@ -20,7 +20,6 @@ from .losses import sigmoid
 __all__ = [
     "SyntheticSpec",
     "OmegaDistribution",
-    "PUSpec",
     "NOISE_MODELS",
     "gen_features",
     "gen_lowrank_W",
@@ -78,17 +77,6 @@ class OmegaDistribution:
     @classmethod
     def uniform(cls):
         return cls(kind="uniform")
-
-
-@dataclass(frozen=True)
-class PUSpec:
-    """Fraction of true positives flipped to zero in the PU regime."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
 
 
 def gen_features(spec):
@@ -154,13 +142,15 @@ def sample_omega(n, L, m, dist, seed):
     return codes // L, codes % L
 
 
-def pu_flip(Y, pu, seed):
-    """Flip each positive entry to 0 independently with probability pu.rho."""
+def pu_flip(Y, rho, seed):
+    """Flip each positive entry to 0 independently with probability rho."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
     Y = np.asarray(Y)
     if not np.all((Y == 0) | (Y == 1)):
         raise ValueError("PU flipping needs a binary label matrix")
     rng = _rng(seed, _PU)
-    flips = (Y == 1) & (rng.random(Y.shape) < pu.rho)
+    flips = (Y == 1) & (rng.random(Y.shape) < rho)
     out = Y.astype(np.int8, copy=True)
     out[flips] = 0
     return out

@@ -238,14 +238,14 @@ def test_criterion_6_error_decay_rate(tmp_path):
     )
     res = cmd_rate_check(cfg)
     elapsed = time.time() - start
-    largest = max(m for (_, m) in res.points)
-    err_param = res.points[("param_norm", largest)][0]
-    err_score = res.points[("score_norm", largest)][0]
+    largest = max(m for (_, m) in res["points"])
+    err_param = res["points"][("param_norm", largest)][0]
+    err_score = res["points"][("score_norm", largest)][0]
 
-    ok_slope = -1.3 <= res.slope <= -0.7
+    ok_slope = -1.3 <= res["slope"] <= -0.7
     _report("criterion 6: log-log slope in [-1.3, -0.7]", ok_slope,
-            f"slope {res.slope:.3f}")
-    ok_positive = all(mean > 0 for mean, _ in res.points.values())
+            f"slope {res['slope']:.3f}")
+    ok_positive = all(mean > 0 for mean, _ in res["points"].values())
     ok_dir = err_score >= err_param
     _report("criterion 6: score-norm variant worse at largest omega", ok_dir,
             f"score {err_score:.4f} vs param {err_param:.4f}")

@@ -73,6 +73,28 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
             parse_dataset(io.StringIO(f"2 2 1\n0 0:1\n 1:{val}\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing header"),
+        ("2 3\n", "line 1: header must be 'n d L'"),
+        ("1 2 x\n0\n", "line 1: header must contain three integers"),
+        ("1 0 1\n0\n", "line 1: header dimensions out of range"),
+        ("3 2 2\n0 0:1\n", "line 2: expected 3 instance lines, found 1"),
+        ("1 2 1\nx 0:1\n", "line 2: bad label index 'x'"),
+        ("1 2 1\n3 0:1\n", "line 2: label index 3 out of range [0, 1)"),
+        ("1 2 1\n0 5\n", "line 2: bad feature token '5'"),
+        ("1 2 1\n0 5:\n", "line 2: bad feature token '5:'"),
+        ("1 2 1\n0 0:abc\n", "line 2: bad feature token '0:abc'"),
+        ("2 2 1\n0 0:1\n 1:nan\n", "line 3: non-finite feature value '1:nan'"),
+        ("1 2 1\n0 5:1\n", "line 2: feature index 5 out of range [0, 2)"),
+        ("1 2 1\n0 0:1 0:2\n", "line 2: duplicate feature index 0"),
+    ], ids=["empty", "header_fields", "header_int", "header_range", "line_count",
+            "label_token", "label_range", "no_colon", "no_value", "bad_value",
+            "nonfinite", "feature_range", "duplicate"])
+    def test_every_format_error_message(self, text, message):
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(io.StringIO(text))
+        assert str(err.value) == message
+
 
 class TestWriteDataset:
     def test_round_trip_bytes(self):
@@ -210,6 +232,8 @@ class TestModelRoundTrip:
         ("theta abc\n1 2\n", "line 3: bad theta 'abc'"),
         ("theta 0.5\n1 2\n3 x\n", "line 5: W row 1: could not convert string to float: 'x'"),
         ("theta 0.5\n1 2\n3\n", "line 5: W row 1 has 1 values, expected 2"),
+        ("", "line 3: missing theta line"),
+        ("theta\n", "line 3: missing theta line"),
     ])
     def test_format_error_names_line(self, body, message):
         with pytest.raises(ModelFormatError) as err:
@@ -226,7 +250,14 @@ class TestModelRoundTrip:
          "line 5: unexpected line after the last matrix"),
         ("nondecomp-model factored\ndims 1 1 1\ntheta none\n1\n2\n\n3\n",
          "line 7: unexpected line after the last matrix"),
-    ], ids=["huge_rows", "huge_cols", "negative", "dense_trailing", "factored_trailing"])
+        ("", "line 1: truncated stream: missing header"),
+        ("nondecomp-model dense\n", "line 2: truncated stream: missing header"),
+        ("nondecomp-model dense\ndims 2 2", "line 3: truncated stream: missing header"),
+        ("something-else dense\ndims 2 2\ntheta none\n",
+         "line 1: bad header line 'something-else dense'"),
+        ("nondecomp-model dense\nsize 2 2\ntheta none\n", "line 2: missing dims line"),
+    ], ids=["huge_rows", "huge_cols", "negative", "dense_trailing", "factored_trailing",
+            "empty", "no_dims", "no_theta", "bad_header", "dims_keyword"])
     def test_body_checked_against_dims(self, text, message):
         with pytest.raises(ModelFormatError) as err:
             load_model(io.StringIO(text))

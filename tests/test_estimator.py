@@ -472,7 +472,7 @@ class TestFitAltMin:
     def test_pu_loss_fully_observed_converges(self, lam):
         # labels thinned as the PU correction assumes, so the corrected
         # risk stays bounded below even without a penalty
-        from nondecomp.sampler import PUSpec, SyntheticSpec, generate_problem, pu_flip
+        from nondecomp.sampler import SyntheticSpec, generate_problem, pu_flip
 
         spec = SyntheticSpec(n=40, L=8, d=4, rank=2, seed=1,
                              noise_model="bernoulli_logistic", wstar_scale=0.5)
@@ -480,7 +480,7 @@ class TestFitAltMin:
         n, L = Y.shape
         rows = np.repeat(np.arange(n), L)
         cols = np.tile(np.arange(L), n)
-        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, PUSpec(0.3), seed=1).ravel())
+        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, 0.3, seed=1).ravel())
         cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=lam, seed=1)
         model, report = fit_alt_min(X, obs, cfg, k=2)
         assert np.all(np.isfinite(model.W1)) and np.all(np.isfinite(model.W2))
@@ -507,14 +507,14 @@ class TestFitAltMin:
         # noise-free labels leave the PU-corrected risk unbounded below;
         # judged against |F| alone the run-away trace passes rel_tol
         # (here after 221 iterations, at F about -7e4)
-        from nondecomp.sampler import PUSpec, SyntheticSpec, generate_problem, pu_flip
+        from nondecomp.sampler import SyntheticSpec, generate_problem, pu_flip
 
         spec = SyntheticSpec(n=100, L=12, d=4, rank=2, seed=0, noise_model="noise_free_sign")
         X, _, Y = generate_problem(spec)
         n, L = Y.shape
         rows = np.repeat(np.arange(n), L)
         cols = np.tile(np.arange(L), n)
-        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, PUSpec(0.3), seed=0).ravel())
+        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, 0.3, seed=0).ravel())
         cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
                            max_iters=300, seed=0)
         _, report = fit_alt_min(X, obs, cfg, k=2)
@@ -737,7 +737,7 @@ class TestPUCorrectionEndToEnd:
         # observed positives are a thinned subset; the unbiased loss undoes
         # the thinning bias that the naive fit absorbs into its parameters
         from nondecomp.losses import PULossWrapper
-        from nondecomp.sampler import PUSpec, SyntheticSpec, generate_problem, pu_flip
+        from nondecomp.sampler import SyntheticSpec, generate_problem, pu_flip
 
         for seed in (0, 1, 2):
             spec = SyntheticSpec(
@@ -745,7 +745,7 @@ class TestPUCorrectionEndToEnd:
                 noise_model="bernoulli_logistic", wstar_scale=0.5,
             )
             X, W_star, Y = generate_problem(spec)
-            flipped = pu_flip(Y, PUSpec(0.4), seed=seed)
+            flipped = pu_flip(Y, 0.4, seed=seed)
             n, L = flipped.shape
             rows = np.repeat(np.arange(n), L)
             cols = np.tile(np.arange(L), n)

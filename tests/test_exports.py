@@ -3,6 +3,8 @@ import importlib
 import pathlib
 import pkgutil
 
+import pytest
+
 import nondecomp
 
 
@@ -40,3 +42,20 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(private - used) == []
+
+
+def test_bench_tracer_finds_the_names_it_wraps(monkeypatch):
+    # a renamed or deleted name would silently read 0 in its per-layer metric
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    if not (bench / "spans.py").exists():
+        pytest.skip("bench/spans.py is absent")
+    monkeypatch.syspath_prepend(str(bench))
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    # the two rows whose names the package no longer has
+    assert set(tracer.skipped) <= {"nondecomp.harness.objective", "nondecomp.harness.sample_omega"}

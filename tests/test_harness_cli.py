@@ -337,9 +337,9 @@ class TestRateCheck:
             grid_points=3, repeats=2, max_iters=150,
         )
         res = cmd_rate_check(cfg)
-        assert np.isfinite(res.slope)
-        assert all(mean > 0 for mean, _ in res.points.values())
-        lines = open(res.csv_path).read().strip().split("\n")
+        assert np.isfinite(res["slope"])
+        assert all(mean > 0 for mean, _ in res["points"].values())
+        lines = open(res["csv_path"]).read().strip().split("\n")
         assert len(lines) == 1 + 6  # two modes x three grid points
 
 
@@ -602,6 +602,11 @@ class TestCli:
         (["--solver=plugin", "--ridge=-1"], "ridge"),
         (["--rel_tol=inf"], "rel_tol"),
         (["--seed=-1"], "seed"),
+        (["--repeats=0"], "repeats"),
+        (["--ratios=0.5,1.5"], "ratios"),
+        (["--pu_rho=1"], "pu_rho"),
+        (["--solver=foo"], "solver"),
+        (["--n=abc"], "config key 'n'"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
@@ -622,11 +627,13 @@ class TestCli:
 
         monkeypatch.setattr(harness, "_load_problem", no_data)
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
-        path = tmp_path / "absent" / "model.txt"
-        assert main(["fit", cfg, f"--model_path={path}"]) == 2
-        error_line = capsys.readouterr().err.splitlines()[0]
-        assert "model_path" in error_line and str(path) in error_line
-        assert not os.path.exists(tmp_path / "out")
+        (tmp_path / "folder").mkdir()
+        # a path in a missing directory, then a path that is a directory
+        for path in (tmp_path / "absent" / "model.txt", tmp_path / "folder"):
+            assert main(["fit", cfg, f"--model_path={path}"]) == 2
+            error_line = capsys.readouterr().err.splitlines()[0]
+            assert "model_path" in error_line and str(path) in error_line
+            assert not os.path.exists(tmp_path / "out")
 
     def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
@@ -660,6 +667,29 @@ class TestCli:
         assert main(["compare", cfg, override]) == 2
         error_line = capsys.readouterr().err.splitlines()[0]
         assert error_line.startswith("error:") and key in error_line
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_compare_scores_the_test_file(self, tmp_path, capsys):
+        data = self.write_dataset_file(tmp_path, "n80.txt", 80, 4, 8)
+        test = self.write_dataset_file(tmp_path, "n50.txt", 50, 4, 8)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\ndata_path = {data}\n"
+            f"test_path = {test}\nrepeats = 1\n",
+        )
+        assert main(["compare", cfg]) == 0
+        rows = open(tmp_path / "out" / "compare.csv").read().splitlines()[1:]
+        assert len(rows) == 4 and all(row.split(",")[2] == "test" for row in rows)
+        assert all("[test]" in line for line in capsys.readouterr().out.splitlines())
+
+    def test_compare_test_file_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        data = self.write_dataset_file(tmp_path, "n80.txt", 80, 4, 8)
+        wide = self.write_dataset_file(tmp_path, "d5.txt", 50, 5, 8)
+        cfg = self.write_config(
+            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\ndata_path = {data}\n"
+            f"test_path = {wide}\nrepeats = 1\n",
+        )
+        assert main(["compare", cfg]) == 2
+        assert "test dataset dimensions do not match" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("overrides, grid", [

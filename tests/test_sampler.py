@@ -7,7 +7,6 @@ from nondecomp.losses import sigmoid
 from nondecomp.metrics import apply_threshold
 from nondecomp.sampler import (
     OmegaDistribution,
-    PUSpec,
     SyntheticSpec,
     gen_features,
     gen_lowrank_W,
@@ -161,32 +160,32 @@ class TestSampleOmega:
 class TestPUFlip:
     def test_rho_zero_identity(self):
         Y = np.random.default_rng(6).integers(0, 2, size=(20, 10)).astype(np.int8)
-        np.testing.assert_array_equal(pu_flip(Y, PUSpec(0.0), seed=0), Y)
+        np.testing.assert_array_equal(pu_flip(Y, 0.0, seed=0), Y)
 
     def test_never_creates_positives(self):
         rng = np.random.default_rng(7)
         Y = rng.integers(0, 2, size=(50, 50)).astype(np.int8)
-        flipped = pu_flip(Y, PUSpec(0.4), seed=1)
+        flipped = pu_flip(Y, 0.4, seed=1)
         assert np.all(flipped <= Y)
         np.testing.assert_array_equal(flipped[Y == 0], 0)
 
     def test_retention_rate(self):
         Y = np.ones((100, 100), dtype=np.int8)
-        flipped = pu_flip(Y, PUSpec(0.3), seed=2)
+        flipped = pu_flip(Y, 0.3, seed=2)
         assert flipped.mean() == pytest.approx(0.7, abs=0.02)
 
     def test_near_total_flipping(self):
         Y = np.ones((50, 50), dtype=np.int8)
-        flipped = pu_flip(Y, PUSpec(0.999), seed=3)
+        flipped = pu_flip(Y, 0.999, seed=3)
         assert flipped.mean() < 0.01
 
     def test_requires_binary(self):
         with pytest.raises(ValueError):
-            pu_flip(np.array([[0.5]]), PUSpec(0.1), seed=0)
+            pu_flip(np.array([[0.5]]), 0.1, seed=0)
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            PUSpec(1.0)
+        with pytest.raises(ValueError, match="rho"):
+            pu_flip(np.ones((2, 2), dtype=np.int8), 1.0, seed=0)
 
 
 class TestDeterminismAcrossStreams:
