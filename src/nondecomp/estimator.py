@@ -328,8 +328,12 @@ def _report(trace, stop_reason, W):
 def fit_prox_grad(X, obs, config):
     """Minimize the trace-regularized objective by proximal gradient descent.
 
-    Uses backtracking line search on the smooth part: the step starts at
-    1, halves on a rejected trial and doubles on an accepted one. Stops
+    Uses backtracking line search on the smooth part. The first trial
+    step is 1, and from the second iteration on it is the Barzilai-Borwein
+    step <s, s> / <s, y> of the last accepted step (s the change in W, y
+    the change in the gradient), clamped to [1e-10, 1e10]; where
+    <s, y> <= 0 the previous step is kept. A rejected trial halves the
+    step, and the search fails once it falls below 1e-18. Stops
     when the relative objective change drops below ``rel_tol`` or after
     ``max_iters`` iterations. Each step reuses what its last accepted
     trial computed: the next gradient comes from that trial's observed
@@ -355,15 +359,23 @@ def fit_prox_grad(X, obs, config):
             raise NumericalError("score-norm mode needs features with full column rank")
     W = np.zeros((X.shape[1], obs.L))
 
-    # the step size, and the observed scores t and smooth part f at W,
-    # carry over between steps
+    # the step size, the observed scores t and smooth part f at W, and the
+    # last iterate with its gradient carry over between steps
     t = _entry_scores(X, obs, W)
     f = _empirical_risk(obs, t, loss)
     step = 1.0
+    last = None
 
     def prox_step(W, F):
-        nonlocal t, f, step
+        nonlocal t, f, step, last
         G = _grad_at_scores(X, obs, t, loss)
+        if last is not None:
+            # a nonpositive <s, y> gives no curvature estimate: keep the step
+            s_W, y = W - last[0], G - last[1]
+            sy = float(np.sum(s_W * y))
+            if sy > 0.0:
+                step = min(max(float(np.sum(s_W * s_W)) / sy, 1e-10), 1e10)
+        last = W, G
         while step >= 1e-18:
             W_new, s = _svt(W - step * G, step * lam)
             diff = W_new - W
@@ -377,7 +389,6 @@ def fit_prox_grad(X, obs, config):
             # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
                 t, f = t_new, f_new
-                step *= 2.0
                 return W_new, F_new
             step *= 0.5
         return None

@@ -40,6 +40,19 @@ def random_instance(rng, n, d, L, frac=0.7, loss="logistic"):
     return X, ObservationSet(n, L, rows, cols, values)
 
 
+def pu_runaway_problem():
+    """Fully observed noise-free labels thinned for PU at rho = 0.3: the
+    PU-corrected risk on them is unbounded below."""
+    from nondecomp.sampler import SyntheticSpec, generate_problem, pu_flip
+
+    spec = SyntheticSpec(n=100, L=12, d=4, rank=2, seed=0, noise_model="noise_free_sign")
+    X, _, Y = generate_problem(spec)
+    n, L = Y.shape
+    rows = np.repeat(np.arange(n), L)
+    cols = np.tile(np.arange(L), n)
+    return X, ObservationSet(n, L, rows, cols, pu_flip(Y, 0.3, seed=0).ravel())
+
+
 @st.composite
 def observation_triples(draw):
     """Shape (n, L) and distinct in-range (row, col) cells with finite values."""
@@ -311,6 +324,35 @@ class TestFitProxGrad:
         )
         assert np.all(np.diff(report.objective_trace) <= 0.0)
 
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_step_kept_without_positive_curvature(self, mode):
+        # a gradient frozen at t = 0 gives y = 0 between iterates, so the
+        # Barzilai-Borwein ratio <s, s> / <s, y> has a zero denominator;
+        # the fit must keep its previous step instead, and never divide by it
+        class FrozenLogistic(LogisticLoss):
+            def grad_t(self, t, y):
+                return super().grad_t(np.zeros_like(t), y)
+
+        X, obs = random_instance(np.random.default_rng(8), 10, 4, 5)
+        cfg = SolverConfig(loss=FrozenLogistic(), lambda_reg=0.01, regularizer_mode=mode)
+        with np.errstate(divide="raise", invalid="raise"):
+            model, report = fit_prox_grad(X, obs, cfg)
+        assert report.iterations >= 2
+        assert np.all(np.isfinite(model.W))
+        assert np.all(np.diff(report.objective_trace) <= 1e-10)
+
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_pu_runaway_objective_is_not_converged(self, mode):
+        # the prox_grad counterpart of TestFitAltMin's run-away case: the
+        # longer steps reach a large |F| sooner, and the fit must still end
+        # at max_iters rather than pass rel_tol
+        X, obs = pu_runaway_problem()
+        cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
+                           regularizer_mode=mode, max_iters=300, seed=0)
+        _, report = fit_prox_grad(X, obs, cfg)
+        assert report.objective_trace[-1] < 0.0
+        assert report.stop_reason == "max_iters" and not report.converged
+
     def test_nuclear_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(10)
         X, obs = random_instance(rng, 12, 4, 6)
@@ -399,6 +441,20 @@ class TestFitProxGrad:
         assert report.objective_trace[-1] == pytest.approx(
             objective(X, obs, model.W, cfg), rel=1e-10
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_param_norm_reaches_prox_fixed_point(self, seed):
+        # at the minimizer of risk(X W) + lam * ||W||_*, W is a fixed
+        # point of the unit-step proximal gradient map
+        rng = np.random.default_rng(seed)
+        X, obs = random_instance(rng, 60, 5, 10)
+        lam = 0.003
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=lam, rel_tol=1e-10)
+        model, report = fit_prox_grad(X, obs, cfg)
+        G = grad_empirical(X, obs, model.W, cfg.loss)
+        residual = np.linalg.norm(model.W - prox_nuclear(model.W - G, lam))
+        assert residual / max(1.0, np.linalg.norm(model.W)) <= 1e-6
+        assert report.stop_reason == "rel_tol"
 
     @pytest.mark.parametrize("n, d, repeat_column", [(4, 6, False), (8, 3, True)])
     def test_score_norm_rejects_rank_deficient_features(self, n, d, repeat_column):
@@ -507,14 +563,7 @@ class TestFitAltMin:
         # noise-free labels leave the PU-corrected risk unbounded below;
         # judged against |F| alone the run-away trace passes rel_tol
         # (here after 221 iterations, at F about -7e4)
-        from nondecomp.sampler import SyntheticSpec, generate_problem, pu_flip
-
-        spec = SyntheticSpec(n=100, L=12, d=4, rank=2, seed=0, noise_model="noise_free_sign")
-        X, _, Y = generate_problem(spec)
-        n, L = Y.shape
-        rows = np.repeat(np.arange(n), L)
-        cols = np.tile(np.arange(L), n)
-        obs = ObservationSet(n, L, rows, cols, pu_flip(Y, 0.3, seed=0).ravel())
+        X, obs = pu_runaway_problem()
         cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
                            max_iters=300, seed=0)
         _, report = fit_alt_min(X, obs, cfg, k=2)

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import time
 from dataclasses import fields
 
@@ -586,6 +587,15 @@ class TestCli:
         assert len(trace) > 1 and all(b <= a for a, b in zip(trace, trace[1:]))
         # from W = 0 each of the 8 labels, all observed at ratio 0.5, adds log 2
         assert trace[0] == pytest.approx(8 * np.log(2), rel=1e-15)
+
+    def test_prox_grad_fit_of_shipped_small_config_converges(self, tmp_path, capsys):
+        # the steps this fit needs lie far above the first trial of 1; the
+        # Barzilai-Borwein first trials reach them, so it stops at rel_tol
+        # well inside its 400 iterations
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
+        assert main(["fit", str(cfg), "--solver=prox_grad", f"--out_dir={tmp_path}/out"]) == 0
+        out = capsys.readouterr().out
+        assert "stop=rel_tol" in out and "converged=True" in out
 
     @pytest.mark.parametrize("overrides, key", [
         (["--lambda_reg=nan"], "lambda_reg"),
