@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import TASKS, ExperimentConfig, UsageError, parse_config_text
+from .config import TASKS, ExperimentConfig, UsageError, parse_config_text, undecodable_line
 from .estimator import NumericalError
 from .harness import run_task
 
@@ -58,6 +58,9 @@ def main(argv=None):
                 file_values = parse_config_text(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read config {config_path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            where = undecodable_line(config_path, exc)
+            raise UsageError(f"config {config_path!r}: {where}") from None
         cfg = ExperimentConfig.from_sources(task, file_values, overrides)
         run_task(cfg)
         return 0

@@ -13,13 +13,29 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-__all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text"]
+__all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "undecodable_line"]
 
 TASKS = ("synth", "fit", "threshold", "eval", "convergence", "compare", "rate_check")
 
 
 class UsageError(ValueError):
     """Bad command line, config file, or input file; maps to exit code 2."""
+
+
+def undecodable_line(path, exc):
+    """'line N: ...' naming the first byte of ``path`` that is not text.
+
+    ``exc`` is the UnicodeDecodeError raised while reading ``path``; its
+    position counts from the chunk being decoded, so the whole file is
+    decoded again to find the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    line = data.count(b"\n", 0, exc.start) + 1
+    return f"line {line}: byte {exc.object[exc.start]:#04x} is not {exc.encoding} ({exc.reason})"
 
 
 def parse_config_text(text):

@@ -1,6 +1,12 @@
 """File formats: sparse multi-label datasets, model persistence, result
 tables, and SVG plots.
 
+A dataset is held as CSR arrays (``SparseDataset``). ``parse_dataset``
+converts a file's tokens in bulk and checks them as arrays; only when a
+check fails does a line-by-line checker read the file again, to name the
+first bad line. ``write_dataset`` refuses a dataset whose text
+``parse_dataset`` would reject, so parse(write(ds)) always gives ds back.
+
 Everything written here is byte-deterministic for fixed inputs: floats are
 formatted with round-tripping precision and no timestamps or environment
 details leak into the output.
@@ -12,6 +18,8 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, pairwise, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,37 +54,130 @@ class ModelFormatError(ValueError):
     """Malformed or truncated model file; names the offending line."""
 
 
-@dataclass
 class SparseDataset:
-    """Sparse multi-label dataset: per-row feature lists and label sets.
+    """Sparse multi-label dataset held as CSR arrays.
 
-    Labels absent from a row's set are negatives. Feature indices within a
-    row are unique and kept sorted.
+    Row i's features are ``indices[indptr[i]:indptr[i + 1]]`` with the
+    ``values`` at the same positions, and its positive labels are
+    ``label_indices[label_indptr[i]:label_indptr[i + 1]]``; labels a row
+    does not list are negatives. Each row's indices are kept sorted, stably,
+    so a repeated feature index stays for ``write_dataset`` to reject, and
+    its label indices are unique.
+
+    ``SparseDataset(n, d, L, features, labels)`` takes per-row lists of
+    ``(index, value)`` pairs and label sets, ``from_arrays`` the arrays;
+    ``features`` and ``labels`` give the lists back.
     """
 
-    n: int
-    d: int
-    L: int
-    features: list
-    labels: list
+    def __init__(self, n, d, L, features, labels):
+        pairs = list(chain.from_iterable(features))
+        # a set need not iterate in order; sorting each row here is cheaper than a lexsort
+        labs = list(chain.from_iterable(map(sorted, labels)))
+        self._set(
+            n, d, L, _indptr(map(len, features)),
+            np.fromiter(map(itemgetter(0), pairs), np.int64, len(pairs)),
+            np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
+            _indptr(map(len, labels)), np.fromiter(labs, np.int64, len(labs)),
+        )
+
+    @classmethod
+    def from_arrays(cls, n, d, L, indptr, indices, values, label_indptr, label_indices):
+        """A dataset of CSR arrays; each row's entries are sorted here."""
+        ds = cls.__new__(cls)
+        ds._set(
+            n, d, L, np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
+            np.asarray(values, dtype=float), np.asarray(label_indptr, dtype=np.int64),
+            np.asarray(label_indices, dtype=np.int64),
+        )
+        return ds
+
+    def _set(self, n, d, L, indptr, indices, values, label_indptr, label_indices):
+        order = _row_order(indptr, indices)
+        if order is not None:
+            indices, values = indices[order], values[order]
+        order = _row_order(label_indptr, label_indices)
+        if order is not None:
+            label_indices = label_indices[order]
+            rows = _rows(label_indptr)
+            fresh = np.r_[True, (rows[1:] > rows[:-1]) | (label_indices[1:] > label_indices[:-1])]
+            label_indices = label_indices[fresh]
+            label_indptr = _indptr(np.bincount(rows[fresh], minlength=label_indptr.size - 1))
+        self.n, self.d, self.L = n, d, L
+        self.indptr, self.indices, self.values = indptr, indices, values
+        self.label_indptr, self.label_indices = label_indptr, label_indices
+
+    @property
+    def features(self):
+        pairs = list(zip(self.indices.tolist(), self.values.tolist()))
+        return [pairs[a:b] for a, b in pairwise(self.indptr.tolist())]
+
+    @property
+    def labels(self):
+        labs = self.label_indices.tolist()
+        return [set(labs[a:b]) for a, b in pairwise(self.label_indptr.tolist())]
 
     def to_dense_X(self):
         X = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.features):
-            for j, v in row:
-                X[i, j] = v
+        X[_rows(self.indptr), self.indices] = self.values
         return X
 
     def label_matrix(self):
         Y = np.zeros((self.n, self.L), dtype=np.int8)
-        for i, labs in enumerate(self.labels):
-            for j in labs:
-                Y[i, j] = 1
+        Y[_rows(self.label_indptr), self.label_indices] = 1
         return Y
+
+
+def _indptr(counts):
+    """Row pointers of rows with the given entry counts."""
+    counts = np.fromiter(counts, np.int64)
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _rows(indptr):
+    """The row of each stored entry."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _row_order(indptr, indices):
+    """The stable permutation that sorts each row's entries by index, or
+    None when every row's indices already strictly increase."""
+    rows = _rows(indptr)
+    if np.all((rows[1:] > rows[:-1]) | (indices[1:] > indices[:-1])):
+        return None
+    return np.lexsort((indices, rows))
+
+
+def _fault(ds):
+    """Why parse_dataset would reject the text of ``ds``, naming the first
+    row at fault, or None when it would read ``ds`` back unchanged."""
+    counts = (ds.indptr.size - 1, ds.label_indptr.size - 1)
+    if counts != (ds.n, ds.n):
+        return f"{counts[0]} feature rows and {counts[1]} label rows, but n = {ds.n}"
+    rows, labs = _rows(ds.indptr), _rows(ds.label_indptr)
+    j, v, k = ds.indices, ds.values, ds.label_indices
+    found = []
+    for at, bad, say in (
+        (rows, ~np.isfinite(v), lambda p: f"non-finite feature value {float(v[p])!r}"),
+        (rows, (j < 0) | (j >= ds.d), lambda p: f"feature index {j[p]} out of range [0, {ds.d})"),
+        (rows, np.r_[False, (rows[1:] == rows[:-1]) & (j[1:] == j[:-1])],
+         lambda p: f"duplicate feature index {j[p]}"),
+        (labs, (k < 0) | (k >= ds.L), lambda p: f"label index {k[p]} out of range [0, {ds.L})"),
+    ):
+        if bad.any():
+            p = int(np.argmax(bad))
+            found.append((int(at[p]), say(p)))
+    if not found:
+        return None
+    row, reason = min(found, key=itemgetter(0))
+    return f"row {row}: {reason}"
 
 
 def _fail(line_no, message):
     raise DatasetFormatError(f"line {line_no}: {message}")
+
+
+# rows converted at a time, so a file's token strings are never all held at once
+_BLOCK_ROWS = 256
 
 
 def parse_dataset(stream):
@@ -85,7 +186,11 @@ def parse_dataset(stream):
     Header line "n d L", then one line per instance: comma-separated
     positive label indices, a space, then "idx:val" feature tokens, all
     0-based. An empty label field (line starting with a space) means no
-    positive labels.
+    positive labels. A feature index may appear once per line.
+
+    The body is converted in bulk, in blocks of rows, and checked as
+    arrays; when any token fails, the line-by-line checker reads the body
+    again and raises the error naming the first bad line.
     """
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
@@ -99,16 +204,53 @@ def parse_dataset(stream):
         n, d, L = (int(tok) for tok in head)
     except ValueError:
         _fail(1, "header must contain three integers")
-    if n < 0 or d < 1 or L < 1:
+    # indices are held as 64-bit integers
+    if n < 0 or d < 1 or L < 1 or max(n, d, L) >= 2**63:
         _fail(1, "header dimensions out of range")
     if len(lines) - 1 != n:
         _fail(len(lines), f"expected {n} instance lines, found {len(lines) - 1}")
+    body = lines[1:]
+    ds = _parse_bulk(body, n, d, L)
+    return ds if ds is not None else _parse_lines(body, n, d, L)
 
+
+def _parse_bulk(body, n, d, L):
+    """The dataset of the instance lines, or None when a token does not
+    convert or fails a check; no error text is made here."""
+    empty = np.zeros(0, dtype=np.int64)
+    feat_counts, feat_idx, feat_val = [], [empty], [np.zeros(0)]
+    label_counts, label_idx = [], [empty]
+    try:
+        for start in range(0, n, _BLOCK_ROWS):
+            fields = [line.partition(" ") for line in body[start:start + _BLOCK_ROWS]]
+            label_fields = [f[0] for f in fields]
+            counts = [f.count(",") + 1 if f else 0 for f in label_fields]
+            tokens = ",".join(filter(None, label_fields)).split(",") if any(counts) else []
+            label_counts += counts
+            label_idx.append(np.fromiter(map(int, tokens), np.int64, len(tokens)))
+            rows = [f[2].split() for f in fields]
+            feat_counts += map(len, rows)
+            # "j:v" -> ("j", ":", "v"); without exactly one colon float() gets "" or "v:w"
+            parts = list(map(str.partition, chain.from_iterable(rows), repeat(":")))
+            feat_idx.append(np.fromiter(map(int, map(itemgetter(0), parts)), np.int64, len(parts)))
+            feat_val.append(np.fromiter(map(float, map(itemgetter(2), parts)), float, len(parts)))
+    except (ValueError, OverflowError):
+        return None
+    ds = SparseDataset.from_arrays(
+        n, d, L, _indptr(feat_counts), np.concatenate(feat_idx), np.concatenate(feat_val),
+        _indptr(label_counts), np.concatenate(label_idx),
+    )
+    return ds if _fault(ds) is None else None
+
+
+def _parse_lines(body, n, d, L):
+    """The line-by-line checker: the dataset of the instance lines, or the
+    DatasetFormatError of the first bad line."""
     features = []
     labels = []
     for i in range(n):
         line_no = i + 2
-        label_field, _, feat_field = lines[i + 1].partition(" ")
+        label_field, _, feat_field = body[i].partition(" ")
         labs = set()
         if label_field:
             for tok in label_field.split(","):
@@ -136,19 +278,36 @@ def parse_dataset(stream):
                 _fail(line_no, f"duplicate feature index {j}")
             seen.add(j)
             feats.append((j, v))
-        feats.sort(key=lambda p: p[0])
         features.append(feats)
         labels.append(labs)
     return SparseDataset(n=n, d=d, L=L, features=features, labels=labels)
 
 
 def write_dataset(dataset, stream):
-    """Inverse of parse_dataset; parse(write(ds)) preserves the content."""
+    """Inverse of parse_dataset: parse(write(ds)) reads ds back unchanged.
+
+    Raises ValueError naming the row when ``dataset`` holds what
+    parse_dataset rejects: a non-finite value, a feature or label index out
+    of range, a repeated feature index, or a row count other than n.
+    """
+    fault = _fault(dataset)
+    if fault is not None:
+        raise ValueError(f"cannot write dataset: {fault}")
     stream.write(f"{dataset.n} {dataset.d} {dataset.L}\n")
-    for labs, feats in zip(dataset.labels, dataset.features):
-        label_field = ",".join(str(j) for j in sorted(labs))
-        tokens = [f"{j}:{v!r}" for j, v in sorted(feats, key=lambda p: p[0])]
-        stream.write(" ".join([label_field, *tokens]) + "\n")
+    indptr, label_indptr = dataset.indptr.tolist(), dataset.label_indptr.tolist()
+    for start in range(0, dataset.n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, dataset.n)
+        a, b = indptr[start], indptr[stop]
+        tokens = list(map(":".join, zip(map(str, dataset.indices[a:b].tolist()),
+                                        map(repr, dataset.values[a:b].tolist()))))
+        la, lb = label_indptr[start], label_indptr[stop]
+        labs = list(map(str, dataset.label_indices[la:lb].tolist()))
+        lines = [
+            " ".join([",".join(labs[l0 - la:l1 - la]), *tokens[f0 - a:f1 - a]])
+            for (f0, f1), (l0, l1) in zip(pairwise(indptr[start:stop + 1]),
+                                          pairwise(label_indptr[start:stop + 1]))
+        ]
+        stream.write("\n".join(lines) + "\n")
 
 
 def mask_observations(Y, ratio, dist, seed, m=None):

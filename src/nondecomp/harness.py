@@ -17,8 +17,10 @@ from itertools import product
 
 import numpy as np
 
-from .config import UsageError
+from .config import UsageError, undecodable_line
 from .dataset_io import (
+    DatasetFormatError,
+    ModelFormatError,
     PlotSeries,
     ResultRow,
     SparseDataset,
@@ -127,13 +129,26 @@ def _synthetic_spec(cfg, seed):
     )
 
 
-def _read_dataset(path):
-    """Dense features and labels of a dataset file."""
+def _read_input(path, what, parse, error):
+    """parse(fh) of the input file ``path``; every failure names the file.
+
+    A file that cannot be opened or read is a UsageError. A byte that is not
+    text, or a format error of ``parse``, raises ``error`` (a format error
+    class) prefixed with the path, and says on which line."""
     try:
         with open(path) as fh:
-            ds = parse_dataset(fh)
+            return parse(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read dataset {path!r}: {exc}") from None
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path!r}: {undecodable_line(path, exc)}") from None
+    except error as exc:
+        raise error(f"{what} {path!r}: {exc}") from None
+
+
+def _read_dataset(path):
+    """Dense features and labels of a dataset file."""
+    ds = _read_input(path, "dataset", parse_dataset, DatasetFormatError)
     return ds.to_dense_X(), ds.label_matrix()
 
 
@@ -266,11 +281,7 @@ def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
 def _read_model(cfg, d, L):
     """Load the configured model, which must map d features to L labels."""
     path = _model_path(cfg)
-    try:
-        with open(path) as fh:
-            model = load_model(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path!r}: {exc}") from None
+    model = _read_input(path, "model", load_model, ModelFormatError)
     if isinstance(model, FactoredModel):
         dims = (model.W1.shape[0], model.W2.shape[0])
     else:
@@ -346,9 +357,12 @@ def cmd_synth(cfg):
     if spec.noise_model == "gaussian":
         raise UsageError("synth export needs a binary noise model")
     X, W_star, Y = generate_problem(spec)
-    features = [[(j, float(X[i, j])) for j in range(cfg.d)] for i in range(cfg.n)]
-    labels = [set(np.flatnonzero(Y[i] == 1).tolist()) for i in range(cfg.n)]
-    ds = SparseDataset(n=cfg.n, d=cfg.d, L=cfg.L, features=features, labels=labels)
+    # every feature of every row, and each row's positive labels
+    rows, labels = np.nonzero(Y == 1)
+    ds = SparseDataset.from_arrays(
+        cfg.n, cfg.d, cfg.L, np.arange(cfg.n + 1) * cfg.d, np.tile(np.arange(cfg.d), cfg.n),
+        X.ravel(), np.searchsorted(rows, np.arange(cfg.n + 1)), labels,
+    )
     data_path = _out_path(cfg, "dataset.txt")
     with open(data_path, "w") as fh:
         write_dataset(ds, fh)

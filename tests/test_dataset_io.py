@@ -19,6 +19,7 @@ from nondecomp.dataset_io import (
     write_dataset,
     write_results_csv,
 )
+from nondecomp.dataset_io import _parse_bulk, _parse_lines
 from nondecomp.estimator import DenseModel, FactoredModel, predict_scores
 from nondecomp.sampler import OmegaDistribution, sample_omega
 
@@ -73,6 +74,12 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
             parse_dataset(io.StringIO(f"2 2 1\n0 0:1\n 1:{val}\n"))
 
+    def test_header_dims_must_fit_int64(self):
+        # indices are held as 64-bit integers
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(io.StringIO(f"1 {2**63} 1\n0 {2**63 - 1}:1\n"))
+        assert str(err.value) == "line 1: header dimensions out of range"
+
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: missing header"),
         ("2 3\n", "line 1: header must be 'n d L'"),
@@ -125,6 +132,61 @@ class TestWriteDataset:
         buf2 = io.StringIO()
         write_dataset(back, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+
+    def test_canonical_form(self):
+        # rows are written with sorted feature indices and sorted, unique labels
+        ds = parse_dataset(io.StringIO("2 3 2\n1,0,1 2:0.5 0:-1.0\n 1:2.0\n"))
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        assert buf.getvalue() == "2 3 2\n0,1 0:-1.0 2:0.5\n 1:2.0\n"
+
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[(0, 1.0)], [(1, float("nan"))]], [set(), set()], "row 1: non-finite feature value nan"),
+        ([[(0, 1.0)], [(2, 1.0)]], [set(), set()], "row 1: feature index 2 out of range [0, 2)"),
+        ([[(0, 1.0)], [(1, 1.0), (1, 2.0)]], [set(), set()], "row 1: duplicate feature index 1"),
+        ([[(0, 1.0)], [(0, 1.0)]], [set(), {2}], "row 1: label index 2 out of range [0, 2)"),
+        ([[(0, 1.0)]], [set()], "1 feature rows and 1 label rows, but n = 2"),
+    ], ids=["nonfinite", "feature_range", "duplicate", "label_range", "row_count"])
+    def test_refuses_what_parse_rejects(self, features, labels, message):
+        ds = SparseDataset(n=2, d=2, L=2, features=features, labels=labels)
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            write_dataset(ds, buf)
+        assert str(err.value) == f"cannot write dataset: {message}"
+        assert buf.getvalue() == ""
+
+
+class TestBenchDatasetApi:
+    """The dataset calls the benchmark makes, in the form it makes them, so
+    that a change to this API fails here rather than in a benchmark run."""
+
+    X = np.array([[0.5, -1.25, 0.0], [2.0, 0.1, -0.0], [1e-300, 3.0, -7.5]])
+    Y = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 0]], dtype=np.int8)
+
+    def test_lists_in_dense_arrays_out(self, tmp_path):
+        ds = SparseDataset(
+            n=3, d=3, L=4,
+            features=[list(enumerate(row.tolist())) for row in self.X],
+            labels=[set(np.flatnonzero(row).tolist()) for row in self.Y],
+        )
+        path = tmp_path / "train.txt"
+        with open(path, "w") as fh:
+            write_dataset(ds, fh)
+        with open(path) as fh:
+            back = parse_dataset(fh)
+        for got in (ds, back):
+            X, Y = got.to_dense_X(), got.label_matrix()
+            assert (X.dtype, X.shape, Y.dtype, Y.shape) == (np.float64, (3, 3), np.int8, (3, 4))
+            assert X.tobytes() == self.X.tobytes()
+            assert Y.tobytes() == self.Y.tobytes()
+            assert type(got.features) is list and type(got.labels) is list
+            assert all(type(row) is list for row in got.features)
+            assert all(type(j) is int and type(v) is float for row in got.features for j, v in row)
+            assert all(type(labs) is set for labs in got.labels)
+            assert all(type(j) is int for labs in got.labels for j in labs)
+        assert back.features == ds.features == [list(enumerate(row)) for row in self.X.tolist()]
+        assert back.labels == ds.labels == [{0, 3}, set(), {0, 1, 2}]
 
 
 class TestMaskObservations:
@@ -401,3 +463,115 @@ class TestRoundTripProperties:
         for name in ("W",) if isinstance(model, DenseModel) else ("W1", "W2"):
             assert getattr(back, name).shape == getattr(model, name).shape
             assert bits(getattr(back, name)) == bits(getattr(model, name))
+
+
+def assert_paths_agree(text):
+    """The bulk path and the line checker read ``text`` the same way: the
+    same arrays, X, Y, features and labels, or both reject it with the
+    checker's message, which parse_dataset raises."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    n, d, L = (int(tok) for tok in lines[0].split())
+    body = lines[1:]
+    try:
+        want = _parse_lines(body, n, d, L)
+    except DatasetFormatError as exc:
+        assert _parse_bulk(body, n, d, L) is None
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(io.StringIO(text))
+        assert str(err.value) == str(exc)
+        return
+    got = _parse_bulk(body, n, d, L)
+    assert got is not None
+    for ds in (got, parse_dataset(io.StringIO(text))):
+        for name in ("indptr", "indices", "values", "label_indptr", "label_indices"):
+            assert getattr(ds, name).tobytes() == getattr(want, name).tobytes(), name
+        assert ds.to_dense_X().tobytes() == want.to_dense_X().tobytes()
+        assert ds.label_matrix().tobytes() == want.label_matrix().tobytes()
+        assert ds.features == want.features
+        assert ds.labels == want.labels
+
+
+class TestBulkParseAgreesWithChecker:
+    @pytest.mark.parametrize("text", [
+        "2 4 3\n0,2 0:1.5 3:-2\n1 1:0.25\n",
+        "0 4 3\n",
+        "3 4 3\n\n \n2\n",
+        "2 4 3\r\n0 0:1\r\n1\r\n",
+        "1 4 3\n0 0:1\t1:2  2:3\x0b3:4\n",
+        "1 4 3\n 2:1 0:2 1:3\n",
+        "1 4 3\n2,0,2 0:1\n",
+        "1 4 3\n0 1:2:3\n",
+        "1 4 3\n0 1:2:3 2\n",
+        "1 4 3\n0 :5\n",
+        "1 4 3\n0 5:\n",
+        "1 4 3\n0 15\n",
+        "1 4 3\n0 1::5\n",
+        "1 4 3\n0 1:nan\n",
+        "1 4 3\n0 1:-inf\n",
+        "1 4 3\n0 1:1e999\n",
+        "1 4 3\n+1 +1:+1\n",
+        "1 40 30\n1_0 1_0:1_0\n",
+        "1 4 3\n0 1:1.a\n",
+        "1 4 3\n0 a:1\n",
+        "1 4 3\nb 1:1\n",
+        "1 4 3\n0 4:1\n",
+        "1 4 3\n0 -1:1\n",
+        "1 4 3\n3 0:1\n",
+        "1 4 3\n-1 0:1\n",
+        "1 4 3\n0 0:1 0:2\n",
+        "1 4 3\n0, 0:1\n",
+        "1 4 3\n0\t1 0:1\n",
+        "1 4 3\n0 99999999999999999999:1\n",
+        "1 4 3\n99999999999999999999 0:1\n",
+        "1 4 3\n١ ٢:1\n",
+    ])
+    def test_hand_cases(self, text):
+        assert_paths_agree(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_and_mutated_texts(self, data):
+        assert_paths_agree(data.draw(dataset_texts()))
+
+
+# replacements for one token: colons dropped, doubled or moved, values the
+# checker rejects or accepts in an unusual spelling, letters, indices out of range
+FEATURE_MUTATIONS = (
+    "{j}{v}", "{j}::{v}", "{j}:{v}:{j}", ":{v}", "{j}:", "{j}:nan", "{j}:inf", "+{j}:+1",
+    "{j}:1_0", "1_{j}:{v}", "{j}:1.a", "a:{v}", "{d}:{v}", "-{j}1:{v}", "{L}", "",
+    "{j}:{v} {j}:1",
+)
+LABEL_MUTATIONS = ("", "+{j}", "1_{j}", "{j}a", "-{j}1", "{L}", "\t{j}", "{j}:1", "\u0663")
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset text in the layouts the checker accepts (CRLF line ends,
+    tabs, runs of spaces, unsorted and repeated indices, empty rows), then
+    possibly one feature or label token replaced by a mutation."""
+    n, d, L = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = []
+    for _ in range(n):
+        labels = [str(j) for j in draw(st.lists(st.integers(0, L - 1), max_size=L + 1))]
+        idx = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        feats = [[str(j), repr(draw(floats))] for j in draw(st.permutations(idx))]
+        rows.append((labels, feats))
+    target = draw(st.sampled_from((None, 0, 1)))  # no mutation, a label, a feature
+    cells = [(r, k) for r, row in enumerate(rows) for k in range(len(row[target or 0]))]
+    if target is not None and cells:
+        r, k = draw(st.sampled_from(cells))
+        if target:
+            j, v = rows[r][1][k]
+            rows[r][1][k] = [draw(st.sampled_from(FEATURE_MUTATIONS)).format(j=j, v=v, d=d, L=L)]
+        else:
+            rows[r][0][k] = draw(st.sampled_from(LABEL_MUTATIONS)).format(j=rows[r][0][k], L=L)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    sep = draw(st.sampled_from((" ", "\t", "  ", " \t")))
+    lines = []
+    for labels, feats in rows:
+        tokens = sep.join(":".join(f) for f in feats)
+        label_field = ",".join(labels)
+        lines.append(f"{label_field} {tokens}" if tokens or draw(st.booleans()) else label_field)
+    return f"{n} {d} {L}{end}" + "".join(line + end for line in lines)

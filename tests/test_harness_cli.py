@@ -27,7 +27,7 @@ from nondecomp.harness import (
     cmd_threshold,
 )
 from nondecomp.metrics import get_metric, threshold_sweep
-from nondecomp.sampler import SyntheticSpec, gen_lowrank_W
+from nondecomp.sampler import SyntheticSpec, gen_lowrank_W, generate_problem
 
 
 def small_cfg(task, out_dir, **kw):
@@ -486,6 +486,63 @@ class TestCli:
         err = capsys.readouterr().err
         assert "d = 5, L = 20" in err and "d = 7, L = 20" in err
 
+    def test_format_error_names_the_file(self, tmp_path, capsys):
+        # data_path and test_path can hold the same error; the path tells them apart
+        train = self.write_dataset_file(tmp_path, "train.txt", 40, 5, 20)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 5 20\n0 0:1\n1 1:x\n")
+        cfg = self.write_config(
+            tmp_path, f"data_path = {train}\nout_dir = {tmp_path}/out\nsolver = plugin\n"
+            "ratio = 0.5\nmetrics = micro_f1\n",
+        )
+        assert main(["fit", cfg]) == 0
+        assert main(["threshold", cfg]) == 0
+        capsys.readouterr()
+        assert main(["eval", cfg, f"--test_path={bad}"]) == 2
+        assert f"error: dataset {str(bad)!r}: line 3: bad feature token '1:x'" in (
+            capsys.readouterr().err
+        )
+        model = tmp_path / "out" / "model.txt"
+        lines = model.read_text().split("\n")
+        lines[2] = "theta abc"
+        model.write_text("\n".join(lines))
+        assert main(["eval", cfg]) == 2
+        assert f"error: model {str(model)!r}: line 3: bad theta 'abc'" in capsys.readouterr().err
+
+    def test_undecodable_dataset_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "bytes.txt"
+        data.write_bytes(b"3 2 2\n0 0:0.5 1:1.0\n1 0:-0.5\n0 0:0.25 1:\xff\n")
+        cfg = self.write_config(
+            tmp_path,
+            f"data_path = {data}\nout_dir = {tmp_path}/out\nratio = 1.0\nsolver = plugin\n",
+        )
+        assert main(["fit", cfg]) == 2
+        assert f"error: dataset {str(data)!r}: line 4: byte 0xff is not " in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
+
+    def test_undecodable_model_names_file_and_line(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg]) == 0
+        model = tmp_path / "out" / "model.txt"
+        lines = model.read_bytes().split(b"\n")
+        lines[2] = b"theta \xff"
+        model.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["threshold", cfg]) == 2
+        assert f"error: model {str(model)!r}: line 3: byte 0xff is not " in (
+            capsys.readouterr().err
+        )
+
+    def test_undecodable_config_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(self.BASE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path}\n".encode())
+        assert main(["fit", str(path)]) == 2
+        assert f"error: config {str(path)!r}: line 10: byte 0xe9 is not " in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("task", ["threshold", "eval"])
     def test_nonpositive_gamma_clip_exit_code(self, tmp_path, capsys, task):
         cfg = self.write_config(
@@ -750,6 +807,14 @@ class TestCli:
 
 
 class TestModelTruthRoundTrip:
+    def test_synth_dataset_holds_the_generated_problem(self, tmp_path):
+        cfg = small_cfg("synth", tmp_path, n=30, L=6, d=4, rank=2)
+        paths = cmd_synth(cfg)
+        X, _, Y = generate_problem(harness._synthetic_spec(cfg, cfg.seed))
+        ds = parse_dataset(open(paths["data_path"]))
+        assert ds.to_dense_X().tobytes() == X.tobytes()
+        np.testing.assert_array_equal(ds.label_matrix(), (Y == 1).astype(np.int8))
+
     def test_synth_wstar_matches_generator(self, tmp_path):
         cfg = small_cfg("synth", tmp_path, n=30, L=6, d=4, rank=2)
         paths = cmd_synth(cfg)
