@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import TASKS, ExperimentConfig, UsageError, parse_config_text, undecodable_line
+from .config import TASKS, ExperimentConfig, UsageError, parse_config_text, read_input
 from .estimator import NumericalError
 from .harness import run_task
 
@@ -53,14 +53,9 @@ def main(argv=None):
         if parsed is None:
             return 0
         task, config_path, overrides = parsed
-        try:
-            with open(config_path) as fh:
-                file_values = parse_config_text(fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read config {config_path!r}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            where = undecodable_line(config_path, exc)
-            raise UsageError(f"config {config_path!r}: {where}") from None
+        file_values = read_input(
+            config_path, "config", lambda fh: parse_config_text(fh.read()), UsageError
+        )
         cfg = ExperimentConfig.from_sources(task, file_values, overrides)
         run_task(cfg)
         return 0

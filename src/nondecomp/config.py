@@ -13,7 +13,7 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-__all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "undecodable_line"]
+__all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "read_input"]
 
 TASKS = ("synth", "fit", "threshold", "eval", "convergence", "compare", "rate_check")
 
@@ -22,7 +22,24 @@ class UsageError(ValueError):
     """Bad command line, config file, or input file; maps to exit code 2."""
 
 
-def undecodable_line(path, exc):
+def read_input(path, what, parse, error):
+    """parse(fh) of the input file ``path``; every failure names the file.
+
+    A file that cannot be opened or read is a UsageError. A byte that is not
+    text, or a format error of ``parse``, raises ``error`` (a format error
+    class) prefixed with the path, and says on which line."""
+    try:
+        with open(path) as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path!r}: {_undecodable_line(path, exc)}") from None
+    except error as exc:
+        raise error(f"{what} {path!r}: {exc}") from None
+
+
+def _undecodable_line(path, exc):
     """'line N: ...' naming the first byte of ``path`` that is not text.
 
     ``exc`` is the UnicodeDecodeError raised while reading ``path``; its
@@ -39,16 +56,20 @@ def undecodable_line(path, exc):
 
 
 def parse_config_text(text):
-    """Parse flat ``key = value`` lines; '#' starts a comment, blanks skipped."""
-    out = {}
+    """Parse flat ``key = value`` lines; '#' starts a comment, blanks skipped.
+    A key may be set once."""
+    out, set_on = {}, {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {line_no}: expected 'key = value'")
+            raise UsageError(f"line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise UsageError(f"line {line_no}: key {key!r} is already set on line {set_on[key]}")
+        out[key], set_on[key] = value.strip(), line_no
     return out
 
 
@@ -176,6 +197,8 @@ class ExperimentConfig:
             raise UsageError("ridge must be finite and nonnegative")
 
     def require_synthetic(self):
+        if self.data_path is not None:
+            raise UsageError(f"{self.task} needs a synthetic problem; data_path is not accepted")
         missing = [name for name in ("n", "L", "d", "rank") if getattr(self, name) is None]
         if missing:
             raise UsageError(
@@ -190,9 +213,7 @@ class ExperimentConfig:
             if value is None:
                 text = ""
             elif isinstance(value, tuple):
-                text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, float):
-                text = repr(value)
+                text = ",".join(map(str, value))
             else:
                 text = str(value)
             parts.append(f"{f.name} = {text}")

@@ -65,8 +65,7 @@ class SparseDataset:
     its label indices are unique.
 
     ``SparseDataset(n, d, L, features, labels)`` takes per-row lists of
-    ``(index, value)`` pairs and label sets, ``from_arrays`` the arrays;
-    ``features`` and ``labels`` give the lists back.
+    ``(index, value)`` pairs and label sets, ``from_arrays`` the arrays.
     """
 
     def __init__(self, n, d, L, features, labels):
@@ -105,16 +104,6 @@ class SparseDataset:
         self.n, self.d, self.L = n, d, L
         self.indptr, self.indices, self.values = indptr, indices, values
         self.label_indptr, self.label_indices = label_indptr, label_indices
-
-    @property
-    def features(self):
-        pairs = list(zip(self.indices.tolist(), self.values.tolist()))
-        return [pairs[a:b] for a, b in pairwise(self.indptr.tolist())]
-
-    @property
-    def labels(self):
-        labs = self.label_indices.tolist()
-        return [set(labs[a:b]) for a, b in pairwise(self.label_indptr.tolist())]
 
     def to_dense_X(self):
         X = np.zeros((self.n, self.d))

@@ -168,7 +168,8 @@ class FitReport:
     iterations: int
     converged: bool
     final_rank: int
-    # why the outer loop ended: "rel_tol", "max_iters" or "line_search"
+    # why the outer loop ended: "rel_tol", "max_iters", "line_search" or
+    # "negative_objective"
     stop_reason: str
 
 
@@ -295,12 +296,12 @@ def _rank_of(A):
 def _descend(step, w, F, max_iters, rel_tol):
     """The outer loop of every fitter. From w, with objective F, apply
     ``step(w, F)``, which returns the next (w, F), or None when its line
-    search fails. Returns (w, objective trace, stop reason): "rel_tol",
-    "line_search" or "max_iters". The change is judged against the
-    smaller of |F| and the starting objective, so a run-away objective
-    (PU-corrected losses are unbounded below) does not pass as converged
-    once |F| is large; on a nonnegative nonincreasing trace the scale is
-    max(1, |F|)."""
+    search fails. Returns (w, objective trace, stop reason): "rel_tol" once
+    a step changes F by at most rel_tol * max(1, F), "line_search",
+    "negative_objective" or "max_iters". Every loss and penalty is
+    nonnegative, so only a PU-corrected risk estimate can turn the
+    objective negative; Kiryo et al. (arXiv:1703.00593) take that as the
+    sign of its overfitting, and the fit stops there."""
     trace = [F]
     for _ in range(max_iters):
         nxt = step(w, F)
@@ -308,7 +309,9 @@ def _descend(step, w, F, max_iters, rel_tol):
             return w, trace, "line_search"
         w, F_new = nxt
         trace.append(F_new)
-        if abs(F - F_new) <= rel_tol * max(1.0, min(abs(F), abs(trace[0]))):
+        if F_new < 0:
+            return w, trace, "negative_objective"
+        if abs(F - F_new) <= rel_tol * max(1.0, F):
             return w, trace, "rel_tol"
         F = F_new
     return w, trace, "max_iters"

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import UsageError, undecodable_line
+from .config import UsageError, read_input
 from .dataset_io import (
     DatasetFormatError,
     ModelFormatError,
@@ -36,6 +36,7 @@ from .dataset_io import (
 from .estimator import (
     DenseModel,
     FactoredModel,
+    NumericalError,
     SolverConfig,
     fit_alt_min,
     fit_plugin_baseline,
@@ -84,29 +85,26 @@ def _threads():
     return max(1, val)
 
 
-def _parallel_map(fn, keys):
-    """Apply fn to every key, optionally on a thread pool, and return the
-    results by key; once a call raises, the queued calls are dropped."""
-    keys = list(keys)
-    workers = min(_threads(), len(keys))
-    if workers <= 1:
-        return {key: fn(key) for key in keys}
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = {key: pool.submit(fn, key) for key in keys}
-        return {key: futures[key].result() for key in keys}
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _over_repeats(cfg, cells, run):
-    """Call run(cell, rep) for every cell and each of cfg.repeats repeats
-    through _parallel_map; returns each cell's outcomes in repeat order."""
+    """Call run(cell, rep) for every cell and each of cfg.repeats repeats,
+    on a thread pool when NONDECOMP_THREADS allows, and return each cell's
+    outcomes in repeat order; once a call raises, the queued calls are
+    dropped."""
     cells = list(cells)
     reps = range(cfg.repeats)
-    outcomes = _parallel_map(lambda key: run(*key), product(cells, reps))
+    keys = list(product(cells, reps))
+    workers = min(_threads(), len(keys))
+    if workers <= 1:
+        outcomes = {key: run(*key) for key in keys}
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = {key: pool.submit(run, *key) for key in keys}
+            outcomes = {key: futures[key].result() for key in keys}
+        finally:
+            pool.shutdown(cancel_futures=True)
     return {cell: [outcomes[(cell, rep)] for rep in reps] for cell in cells}
 
 
@@ -129,26 +127,9 @@ def _synthetic_spec(cfg, seed):
     )
 
 
-def _read_input(path, what, parse, error):
-    """parse(fh) of the input file ``path``; every failure names the file.
-
-    A file that cannot be opened or read is a UsageError. A byte that is not
-    text, or a format error of ``parse``, raises ``error`` (a format error
-    class) prefixed with the path, and says on which line."""
-    try:
-        with open(path) as fh:
-            return parse(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} {path!r}: {undecodable_line(path, exc)}") from None
-    except error as exc:
-        raise error(f"{what} {path!r}: {exc}") from None
-
-
 def _read_dataset(path):
     """Dense features and labels of a dataset file."""
-    ds = _read_input(path, "dataset", parse_dataset, DatasetFormatError)
+    ds = read_input(path, "dataset", parse_dataset, DatasetFormatError)
     return ds.to_dense_X(), ds.label_matrix()
 
 
@@ -281,7 +262,7 @@ def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
 def _read_model(cfg, d, L):
     """Load the configured model, which must map d features to L labels."""
     path = _model_path(cfg)
-    model = _read_input(path, "model", load_model, ModelFormatError)
+    model = read_input(path, "model", load_model, ModelFormatError)
     if isinstance(model, FactoredModel):
         dims = (model.W1.shape[0], model.W2.shape[0])
     else:
@@ -386,6 +367,11 @@ def cmd_fit(cfg):
     prob = _load_problem(cfg, cfg.seed)
     obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
+    if report.stop_reason == "negative_objective":
+        raise NumericalError(
+            f"objective {report.objective_trace[-1]:.6g} < 0 at iteration {report.iterations}: "
+            "the positive-unlabeled risk estimate overfits; raise lambda_reg"
+        )
     trace_path = _out_path(cfg, "trace.csv")
     with open(path, "w") as fh:
         save_model(model, fh)
@@ -404,10 +390,13 @@ def cmd_fit(cfg):
 
 def cmd_threshold(cfg):
     """Tune the decision threshold on the training observations."""
+    try:
+        spec = get_metric(cfg.metric)
+    except ValueError as exc:
+        raise UsageError(f"metric: {exc}") from None
     prob = _load_problem(cfg, cfg.seed)
     obs, _ = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     _binary_required(obs.values, "threshold tuning")
-    spec = get_metric(cfg.metric)
     model = _read_model(cfg, prob.X.shape[1], prob.Y.shape[1])
     z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
     theta, result, degenerate = _tune_threshold(
@@ -459,8 +448,6 @@ def cmd_eval(cfg):
 
 def cmd_convergence(cfg):
     """Metric-versus-sampling-ratio experiment for both methods."""
-    if cfg.data_path is not None:
-        raise UsageError("convergence needs a synthetic problem; data_path is not accepted")
     cfg.require_synthetic()
     if cfg.noise_model == "gaussian":
         raise UsageError("the convergence experiment needs a binary noise model")
@@ -522,7 +509,6 @@ def cmd_compare(cfg):
         if X_e.shape[1] != prob.X.shape[1] or Y_e.shape[1] != prob.Y.shape[1]:
             raise UsageError("test dataset dimensions do not match the training data")
         split = "test"
-    _binary_required(Y_e, "evaluation")
 
     def run_one(method, rep):
         return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, method, specs, X_e, Y_e)
@@ -552,8 +538,6 @@ def cmd_rate_check(cfg):
     regresses log(error) on log(count), and repeats with the score-matrix
     regularizer for contrast.
     """
-    if cfg.data_path is not None:
-        raise UsageError("rate_check needs a synthetic problem; data_path is not accepted")
     cfg.require_synthetic()
     if cfg.noise_model != "bernoulli_logistic":
         raise UsageError("rate_check needs noise_model = bernoulli_logistic")

@@ -343,15 +343,13 @@ class TestFitProxGrad:
 
     @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
     def test_pu_runaway_objective_is_not_converged(self, mode):
-        # the prox_grad counterpart of TestFitAltMin's run-away case: the
-        # longer steps reach a large |F| sooner, and the fit must still end
-        # at max_iters rather than pass rel_tol
+        # the prox_grad counterpart of TestFitAltMin's run-away case
         X, obs = pu_runaway_problem()
         cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
                            regularizer_mode=mode, max_iters=300, seed=0)
         _, report = fit_prox_grad(X, obs, cfg)
         assert report.objective_trace[-1] < 0.0
-        assert report.stop_reason == "max_iters" and not report.converged
+        assert report.stop_reason == "negative_objective" and not report.converged
 
     def test_nuclear_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(10)
@@ -560,15 +558,14 @@ class TestFitAltMin:
         assert len(set(trace)) == len(trace) and report.iterations == len(trace) - 1
 
     def test_pu_runaway_objective_is_not_converged(self):
-        # noise-free labels leave the PU-corrected risk unbounded below;
-        # judged against |F| alone the run-away trace passes rel_tol
-        # (here after 221 iterations, at F about -7e4)
+        # noise-free labels leave the PU-corrected risk unbounded below; the
+        # fit stops at the first negative objective and is not converged
         X, obs = pu_runaway_problem()
         cfg = SolverConfig(loss=PULossWrapper(LogisticLoss(), 0.3), lambda_reg=1e-4,
                            max_iters=300, seed=0)
         _, report = fit_alt_min(X, obs, cfg, k=2)
         assert report.objective_trace[-1] < 0.0
-        assert report.stop_reason == "max_iters" and not report.converged
+        assert report.stop_reason == "negative_objective" and not report.converged
 
     def test_score_norm_rejected(self):
         X, obs = random_instance(np.random.default_rng(18), 6, 3, 4)

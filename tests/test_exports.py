@@ -59,3 +59,12 @@ def test_bench_tracer_finds_the_names_it_wraps(monkeypatch):
         tracer.uninstall()
     # the two rows whose names the package no longer has
     assert set(tracer.skipped) <= {"nondecomp.harness.objective", "nondecomp.harness.sample_omega"}
+
+
+def test_every_task_has_a_command():
+    # the config cannot import the harness, so the two task lists are kept
+    # apart; a task added to one and not the other fails here
+    from nondecomp.config import TASKS
+    from nondecomp.harness import _COMMANDS
+
+    assert tuple(_COMMANDS) == TASKS

@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(UsageError, match="line 2"):
             parse_config_text("a = 1\nnot a pair\n")
 
+    def test_key_set_twice(self):
+        with pytest.raises(UsageError, match="line 6: key 'n' is already set on line 1"):
+            parse_config_text("n = 200\nL = 4\n\n# again\nd = 2\nn = 50\n")
+
     def test_from_sources_with_overrides(self):
         cfg = ExperimentConfig.from_sources(
             "fit", {"n": "10", "L": "4", "d": "2", "rank": "1"}, {"seed": "7"}
@@ -197,9 +201,11 @@ class TestFitThresholdEval:
         assert model.W.shape == (5, 12)
 
     def test_pu_fit_runs_and_counts_all_entries(self, tmp_path):
-        cfg = small_cfg("fit", tmp_path, pu_rho=0.3, solver="prox_grad", lambda_reg=1e-3)
+        # at lambda_reg = 1e-3 this fit runs away below 0 and exits 1 (see
+        # test_pu_runaway_fit_exits_1); 1e-2 bounds it
+        cfg = small_cfg("fit", tmp_path, pu_rho=0.3, solver="prox_grad", lambda_reg=1e-2)
         out = cmd_fit(cfg)
-        assert out["report"] is not None
+        assert out["report"].converged
         model = load_model(open(out["model_path"]))
         assert np.all(np.isfinite(model.W))
 
@@ -286,15 +292,15 @@ class TestConvergence:
         monkeypatch.setenv("NONDECOMP_THREADS", "2")
         calls = []
 
-        def fn(key):
-            calls.append(key)
-            if key == 0:
+        def fn(cell, rep):
+            calls.append(cell)
+            if cell == 0:
                 raise UsageError("first trial fails")
             time.sleep(0.05)
-            return key
+            return cell
 
         with pytest.raises(UsageError, match="first trial fails"):
-            harness._parallel_map(fn, range(40))
+            harness._over_repeats(ExperimentConfig(repeats=1), range(40), fn)
         assert len(calls) < 10
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
@@ -417,7 +423,8 @@ class TestCli:
     @pytest.mark.parametrize("val", ["inf", "nan"])
     def test_nonfinite_theta_exit_code(self, tmp_path, capsys, val):
         cfg = self.write_config(
-            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nsolver = plugin\n"
+            tmp_path,
+            self.BASE.replace("solver = alt_min", "solver = plugin") + f"out_dir = {tmp_path}/out\n",
         )
         assert main(["fit", cfg]) == 0
         assert main(["threshold", cfg]) == 0
@@ -535,6 +542,16 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("extra, where", [
+        ("not a pair\n", "line 11: expected 'key = value'"),
+        ("n = 50\n", "line 11: key 'n' is already set on line 1"),
+    ], ids=["syntax", "repeated_key"])
+    def test_config_error_names_file_and_line(self, tmp_path, capsys, extra, where):
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n" + extra)
+        assert main(["fit", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {cfg!r}: {where}\n")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_undecodable_config_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(self.BASE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path}\n".encode())
@@ -546,7 +563,8 @@ class TestCli:
     @pytest.mark.parametrize("task", ["threshold", "eval"])
     def test_nonpositive_gamma_clip_exit_code(self, tmp_path, capsys, task):
         cfg = self.write_config(
-            tmp_path, self.BASE + f"out_dir = {tmp_path}/out\nsolver = plugin\n"
+            tmp_path,
+            self.BASE.replace("solver = alt_min", "solver = plugin") + f"out_dir = {tmp_path}/out\n",
         )
         assert main(["fit", cfg]) == 0
         assert main(["threshold", cfg]) == 0
@@ -554,7 +572,7 @@ class TestCli:
         assert main([task, cfg, "--gamma_clip=-1"]) == 2
         assert "gamma_clip must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task", ["convergence", "rate_check"])
+    @pytest.mark.parametrize("task", ["synth", "convergence", "rate_check"])
     def test_synthetic_task_rejects_data_path(self, tmp_path, capsys, task):
         data = self.write_dataset_file(tmp_path, "n80.txt", 80, 4, 8)
         cfg = self.write_config(
@@ -701,6 +719,28 @@ class TestCli:
             error_line = capsys.readouterr().err.splitlines()[0]
             assert "model_path" in error_line and str(path) in error_line
             assert not os.path.exists(tmp_path / "out")
+
+    def test_unknown_metric_exits_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        def no_data(*args):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(harness, "_load_problem", no_data)
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["threshold", cfg, "--metric=bogus"]) == 2
+        assert capsys.readouterr().err.startswith("error: metric: unknown metric 'bogus'")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("solver", ["alt_min", "prox_grad"])
+    def test_pu_runaway_fit_exits_1(self, tmp_path, capsys, solver):
+        # noise-free labels leave the PU-corrected risk unbounded below; the
+        # fit stops once its objective turns negative, and writes nothing
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
+        out = tmp_path / "out"
+        args = [f"--solver={solver}", "--pu_rho=0.3", f"--out_dir={out}"]
+        assert main(["fit", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: objective -") and "lambda_reg" in err
+        assert not os.path.exists(out)
 
     def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
