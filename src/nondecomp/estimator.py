@@ -328,13 +328,38 @@ def _report(trace, stop_reason, W):
     )
 
 
+# the adaptive Barzilai-Borwein rule of Zhou, Gao and Dai (Comput. Optim.
+# Appl. 35, 2006) takes the short step when cos^2 of the angle between s
+# and y falls below this; the long step then tends to overshoot
+_BB_SHORT_BELOW = 0.8
+
+
+def _first_trial(s_W, y, step):
+    """The first trial step of a prox_grad iteration, from the change s_W in
+    W and y in the gradient over the last accepted step. The long and short
+    Barzilai-Borwein steps are a1 = <s, s> / <s, y> and a2 = <s, y> / <y, y>;
+    a2 / a1 = <s, y>^2 / (<s, s> <y, y>) is cos^2 of the angle between s
+    and y. Returns a2 when that is below ``_BB_SHORT_BELOW``, else a1,
+    clamped to [1e-10, 1e10]. Where <s, y> <= 0 there is no curvature
+    estimate and ``step`` is returned. The test is made without dividing,
+    so a2 is only formed when <y, y> > 0, even where it underflows."""
+    sy = float(np.sum(s_W * y))
+    if sy <= 0.0:
+        return step
+    ss, yy = float(np.sum(s_W * s_W)), float(np.sum(y * y))
+    trial = sy / yy if sy * sy < _BB_SHORT_BELOW * ss * yy else ss / sy
+    return min(max(trial, 1e-10), 1e10)
+
+
 def fit_prox_grad(X, obs, config):
     """Minimize the trace-regularized objective by proximal gradient descent.
 
     Uses backtracking line search on the smooth part. The first trial
-    step is 1, and from the second iteration on it is the Barzilai-Borwein
-    step <s, s> / <s, y> of the last accepted step (s the change in W, y
-    the change in the gradient), clamped to [1e-10, 1e10]; where
+    step is 1, and from the second iteration on it is the adaptive
+    Barzilai-Borwein step of the last accepted step (``_first_trial``; s
+    the change in W, y the change in the gradient): the long step
+    <s, s> / <s, y>, or the short step <s, y> / <y, y> when cos^2 of the
+    angle between s and y is below 0.8, clamped to [1e-10, 1e10]; where
     <s, y> <= 0 the previous step is kept. A rejected trial halves the
     step, and the search fails once it falls below 1e-18. Stops
     when the relative objective change drops below ``rel_tol`` or after
@@ -373,11 +398,7 @@ def fit_prox_grad(X, obs, config):
         nonlocal t, f, step, last
         G = _grad_at_scores(X, obs, t, loss)
         if last is not None:
-            # a nonpositive <s, y> gives no curvature estimate: keep the step
-            s_W, y = W - last[0], G - last[1]
-            sy = float(np.sum(s_W * y))
-            if sy > 0.0:
-                step = min(max(float(np.sum(s_W * s_W)) / sy, 1e-10), 1e10)
+            step = _first_trial(W - last[0], G - last[1], step)
         last = W, G
         while step >= 1e-18:
             W_new, s = _svt(W - step * G, step * lam)

@@ -12,6 +12,7 @@ file contents.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -560,11 +561,13 @@ def cmd_rate_check(cfg):
         prob = problems[rep]
         obs = mask_observations(prob.Y, None, OmegaDistribution.uniform(), seed_r, m=m)
         sconf = _solver_config(cfg, get_loss(cfg.loss), seed_r, regularizer_mode=mode)
-        model, _ = fit_prox_grad(prob.X, obs, sconf)
-        return recovery_error(model.W, prob.W_star)
+        model, report = fit_prox_grad(prob.X, obs, sconf)
+        return recovery_error(model.W, prob.W_star), report.stop_reason
 
     outcomes = _over_repeats(cfg, product(("param_norm", "score_norm"), grid), run_one)
-    points = {cell: _mean_sd(errors) for cell, errors in outcomes.items()}
+    points = {cell: _mean_sd([err for err, _ in fits]) for cell, fits in outcomes.items()}
+    # a fit that stopped at max_iters or line_search still feeds the slope
+    stops = Counter(stop for fits in outcomes.values() for _, stop in fits)
 
     log_m = np.log([float(m) for m in grid])
     log_err = np.log([points[("param_norm", m)][0] for m in grid])
@@ -579,6 +582,7 @@ def cmd_rate_check(cfg):
             fh.write(f"{mode},{m},{_fmt(mean)},{_fmt(sd)},{chash}\n")
             print(f"rate_check: {mode} omega={m} error={mean:.6g} sd={sd:.3g}")
     print(f"rate_check: param_norm log-log slope = {slope:.4f}")
+    print("rate_check: stop reasons " + " ".join(f"{r}={stops[r]}" for r in sorted(stops)))
     return {"slope": slope, "points": points, "csv_path": csv_path}
 
 

@@ -12,6 +12,7 @@ from nondecomp.estimator import (
     ObservationSet,
     SolverConfig,
     _factored_objective,
+    _first_trial,
     _newton_step,
     default_lambda,
     fit_alt_min,
@@ -463,6 +464,101 @@ class TestFitProxGrad:
         cfg = SolverConfig(loss=get_loss("logistic"), regularizer_mode="score_norm")
         with pytest.raises(NumericalError, match="full column rank"):
             fit_prox_grad(X, obs, cfg)
+
+
+class TestFirstTrial:
+    # s and y are 1 x 2 matrices, as s_W and y are d x L ones in the fit
+    @pytest.mark.parametrize("y", [[0.0, 0.0], [0.0, 3.0], [-1.0, 2.0]])
+    def test_nonpositive_curvature_keeps_step(self, y):
+        with np.errstate(divide="raise", invalid="raise"):
+            assert _first_trial(np.array([[1.0, 0.0]]), np.array([y]), 0.37) == 0.37
+
+    @pytest.mark.parametrize("y, long_step", [
+        # cos^2 = 1, 0.9 and exactly 0.8
+        ([[2.0, 0.0]], 0.5), ([[3.0, 1.0]], 1.0 / 3.0), ([[2.0, 1.0]], 0.5),
+    ])
+    def test_aligned_pair_takes_long_step(self, y, long_step):
+        # <s, s> / <s, y> with s = (1, 0)
+        assert _first_trial(np.array([[1.0, 0.0]]), np.array(y), 0.37) == long_step
+
+    @pytest.mark.parametrize("y, short_step", [
+        # cos^2 = 0.5 and 0.1
+        ([[1.0, 1.0]], 0.5), ([[1.0, 3.0]], 0.1),
+    ])
+    def test_misaligned_pair_takes_short_step(self, y, short_step):
+        # <s, y> / <y, y> with s = (1, 0)
+        assert _first_trial(np.array([[1.0, 0.0]]), np.array(y), 0.37) == short_step
+
+    @pytest.mark.parametrize("s, y, clamped", [
+        ([[1e6, 0.0]], [[1e-6, 0.0]], 1e10),     # long step 1e12
+        ([[1e-6, 0.0]], [[1e6, 0.0]], 1e-10),    # long step 1e-12
+        ([[1e6, 1e6]], [[1e-6, 0.0]], 1e10),     # short step 1e12
+        ([[1.0, 0.0]], [[1e12, 1e12]], 1e-10),   # short step 5e-13
+        # <s, y> = 1e-310 > 0 but <y, y> underflows to 0; long step 1e30
+        ([[1e-140, 0.0]], [[1e-170, 0.0]], 1e10),
+    ])
+    def test_clamped_to_bounds(self, s, y, clamped):
+        assert _first_trial(np.array(s), np.array(y), 0.37) == clamped
+
+
+class TestProxGradAtRateCheckSize:
+    """Convex fits at the size of the benchmark's rate_check: n=300, L=60,
+    d=12, rank 3, lambda_c=0.05, rel_tol=1e-8, at the smallest and largest
+    observation counts of its four-point grid, on two problems."""
+
+    class CountingLogistic(LogisticLoss):
+        def __init__(self):
+            self.value_calls = 0
+
+        def value(self, t, y):
+            self.value_calls += 1
+            return super().value(t, y)
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        from nondecomp.sampler import SyntheticSpec, generate_problem
+
+        out = []
+        for seed in (0, 1):
+            spec = SyntheticSpec(n=300, L=60, d=12, rank=3, seed=seed,
+                                 noise_model="bernoulli_logistic", wstar_scale=0.33)
+            X, _, Y = generate_problem(spec)
+            rng = np.random.default_rng(seed)
+            for m in (2250, 18000):
+                codes = rng.choice(300 * 60, size=m, replace=False)
+                rows, cols = codes // 60, codes % 60
+                out.append((X, ObservationSet(300, 60, rows, cols, Y[rows, cols])))
+        return out
+
+    @staticmethod
+    def config(mode, loss=None, rel_tol=1e-8, max_iters=600):
+        return SolverConfig(loss=loss or LogisticLoss(), lambda_c=0.05, regularizer_mode=mode,
+                            max_iters=max_iters, rel_tol=rel_tol)
+
+    # trials per accepted iteration over the four fits, measured at 1.31
+    # (140 / 107, param_norm) and 1.13 (36 / 32, score_norm), and at 1.84
+    # and 1.34 with the long Barzilai-Borwein step as every first trial;
+    # each bound is the measured value plus 10%
+    @pytest.mark.parametrize("mode, bound", [("param_norm", 1.44), ("score_norm", 1.24)])
+    def test_few_rejected_trials(self, problems, mode, bound):
+        trials = iterations = 0
+        for X, obs in problems:
+            loss = self.CountingLogistic()
+            _, report = fit_prox_grad(X, obs, self.config(mode, loss))
+            assert report.converged
+            # one loss evaluation is the objective at W = 0, each other a trial
+            trials += loss.value_calls - 1
+            iterations += report.iterations
+        assert trials / iterations <= bound
+
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_stops_near_a_tightly_converged_reference(self, problems, mode):
+        # fewer trials must not come from stopping earlier
+        for X, obs in problems:
+            _, report = fit_prox_grad(X, obs, self.config(mode))
+            _, ref = fit_prox_grad(X, obs, self.config(mode, rel_tol=1e-15, max_iters=5000))
+            F, F_ref = report.objective_trace[-1], ref.objective_trace[-1]
+            assert abs(F - F_ref) <= 1e-6 * F_ref
 
 
 class TestFitAltMin:

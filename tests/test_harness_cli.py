@@ -336,7 +336,7 @@ class TestRateCheck:
         with pytest.raises(UsageError, match="3 grid points"):
             cmd_rate_check(cfg)
 
-    def test_small_run_outputs(self, tmp_path):
+    def test_small_run_outputs(self, tmp_path, capsys):
         cfg = small_cfg(
             "rate_check", tmp_path,
             n=40, L=10, d=4, rank=2, noise_model="bernoulli_logistic",
@@ -348,6 +348,18 @@ class TestRateCheck:
         assert all(mean > 0 for mean, _ in res["points"].values())
         lines = open(res["csv_path"]).read().strip().split("\n")
         assert len(lines) == 1 + 6  # two modes x three grid points
+        # every one of the 12 fits is counted under its stop reason
+        assert capsys.readouterr().out.splitlines()[-1] == "rate_check: stop reasons rel_tol=12"
+
+    def test_stop_reasons_count_fits_that_did_not_converge(self, tmp_path, capsys):
+        cfg = small_cfg(
+            "rate_check", tmp_path,
+            n=40, L=10, d=4, rank=2, noise_model="bernoulli_logistic",
+            solver="prox_grad", lambda_reg=None, lambda_c=0.05,
+            grid_points=3, repeats=1, max_iters=2,
+        )
+        cmd_rate_check(cfg)
+        assert capsys.readouterr().out.splitlines()[-1] == "rate_check: stop reasons max_iters=6"
 
 
 class TestCli:
@@ -665,8 +677,8 @@ class TestCli:
 
     def test_prox_grad_fit_of_shipped_small_config_converges(self, tmp_path, capsys):
         # the steps this fit needs lie far above the first trial of 1; the
-        # Barzilai-Borwein first trials reach them, so it stops at rel_tol
-        # well inside its 400 iterations
+        # adaptive Barzilai-Borwein first trials reach them, so it stops at
+        # rel_tol well inside its 400 iterations (after 106)
         cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
         assert main(["fit", str(cfg), "--solver=prox_grad", f"--out_dir={tmp_path}/out"]) == 0
         out = capsys.readouterr().out
