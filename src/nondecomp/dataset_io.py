@@ -2,10 +2,14 @@
 tables, and SVG plots.
 
 A dataset is held as CSR arrays (``SparseDataset``). ``parse_dataset``
-converts a file's tokens in bulk and checks them as arrays; only when a
-check fails does a line-by-line checker read the file again, to name the
-first bad line. ``write_dataset`` refuses a dataset whose text
-``parse_dataset`` would reject, so parse(write(ds)) always gives ds back.
+converts a file in blocks of rows, each by a few string and numpy calls
+over the block's joined text, and checks the result as arrays. A block
+spelled other than plainly (non-ASCII digits, "+1", tabs in a label field)
+is read by the line-by-line checker instead; only when a check fails does
+that checker read the whole file again, to name the first bad line.
+``write_dataset`` refuses a dataset whose text ``parse_dataset`` would
+reject, so parse(write(ds)) always gives ds back, and its text is always
+in the plain spelling.
 
 Everything written here is byte-deterministic for fixed inputs: floats are
 formatted with round-tripping precision and no timestamps or environment
@@ -17,8 +21,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass
-from itertools import chain, pairwise, repeat
+from itertools import chain, pairwise
 from operator import itemgetter
 
 import numpy as np
@@ -165,8 +170,16 @@ def _fail(line_no, message):
     raise DatasetFormatError(f"line {line_no}: {message}")
 
 
-# rows converted at a time, so a file's token strings are never all held at once
+# rows converted at a time: a block's label fields and its feature fields
+# are each joined into one text, which a few string and numpy calls convert,
+# so a file's value strings are never all held at once
 _BLOCK_ROWS = 256
+
+# the ASCII bytes other than space and "\n" that str.split() splits on
+_BLANKS = bytes.maketrans(b"\t\r\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 8)
+# np.fromstring saturates an int64 that overflows, so longer indices are
+# left to the line checker
+_MAX_DIGITS = 18
 
 
 def parse_dataset(stream):
@@ -177,9 +190,13 @@ def parse_dataset(stream):
     0-based. An empty label field (line starting with a space) means no
     positive labels. A feature index may appear once per line.
 
-    The body is converted in bulk, in blocks of rows, and checked as
-    arrays; when any token fails, the line-by-line checker reads the body
-    again and raises the error naming the first bad line.
+    The body is converted in blocks of rows. A block in the plain spelling
+    (ASCII digits and commas for labels, ASCII "idx:val" tokens) is read
+    by one np.fromstring for its labels, one for its feature indices and
+    float over its value strings; any other block is read by the
+    line-by-line checker. The arrays are then checked for ranges,
+    finiteness and duplicates. When any line fails, the checker reads the
+    whole body again and raises the error naming the first bad line.
     """
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
@@ -204,41 +221,101 @@ def parse_dataset(stream):
 
 
 def _parse_bulk(body, n, d, L):
-    """The dataset of the instance lines, or None when a token does not
-    convert or fails a check; no error text is made here."""
+    """The dataset of the instance lines, or None when a line fails a check;
+    no error text is made here."""
     empty = np.zeros(0, dtype=np.int64)
-    feat_counts, feat_idx, feat_val = [], [empty], [np.zeros(0)]
-    label_counts, label_idx = [], [empty]
+    blocks = [(empty, empty, np.zeros(0), empty, empty)]
     try:
         for start in range(0, n, _BLOCK_ROWS):
-            fields = [line.partition(" ") for line in body[start:start + _BLOCK_ROWS]]
-            label_fields = [f[0] for f in fields]
-            counts = [f.count(",") + 1 if f else 0 for f in label_fields]
-            tokens = ",".join(filter(None, label_fields)).split(",") if any(counts) else []
-            label_counts += counts
-            label_idx.append(np.fromiter(map(int, tokens), np.int64, len(tokens)))
-            rows = [f[2].split() for f in fields]
-            feat_counts += map(len, rows)
-            # "j:v" -> ("j", ":", "v"); without exactly one colon float() gets "" or "v:w"
-            parts = list(map(str.partition, chain.from_iterable(rows), repeat(":")))
-            feat_idx.append(np.fromiter(map(int, map(itemgetter(0), parts)), np.int64, len(parts)))
-            feat_val.append(np.fromiter(map(float, map(itemgetter(2), parts)), float, len(parts)))
-    except (ValueError, OverflowError):
+            rows = body[start:start + _BLOCK_ROWS]
+            arrays = _convert_block(rows)
+            if arrays is None:
+                ds = _parse_lines(rows, len(rows), d, L, first_line=start + 2)
+                arrays = (np.diff(ds.indptr), ds.indices, ds.values,
+                          np.diff(ds.label_indptr), ds.label_indices)
+            blocks.append(arrays)
+    except DatasetFormatError:
         return None
+    feat_counts, feat_idx, feat_val, label_counts, label_idx = map(np.concatenate, zip(*blocks))
     ds = SparseDataset.from_arrays(
-        n, d, L, _indptr(feat_counts), np.concatenate(feat_idx), np.concatenate(feat_val),
-        _indptr(label_counts), np.concatenate(label_idx),
+        n, d, L, _indptr(feat_counts), feat_idx, feat_val, _indptr(label_counts), label_idx,
     )
     return ds if _fault(ds) is None else None
 
 
-def _parse_lines(body, n, d, L):
+def _convert_block(rows):
+    """(feature counts, indices, values, label counts, label indices) of
+    instance lines in the plain spelling, or None for any other text.
+
+    The plain spelling: labels of ASCII digits between commas, and feature
+    tokens "j:v" between ASCII blanks, with j of ASCII digits and v of
+    [0-9.eE+-]. Values go through float, as in the line checker, so they
+    round the same way."""
+    fields = [row.partition(" ") for row in rows]
+    label_fields = [f[0] for f in fields]
+    text = "\n".join([f[2] for f in fields])
+    try:
+        labels = ",".join(filter(None, label_fields)).encode("ascii")
+        feats = text.encode("ascii").translate(_BLANKS)
+    except UnicodeEncodeError:
+        return None
+    if feats.translate(None, b"0123456789.eE+-: \n"):
+        return None
+    # each token runs between blanks and holds one colon, with text on both sides
+    b = np.frombuffer(feats, np.uint8)
+    blank = np.concatenate(([True], (b == ord(" ")) | (b == ord("\n")), [True]))
+    edges = np.flatnonzero(blank[1:] != blank[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    colons = np.flatnonzero(b == ord(":"))
+    if colons.size != starts.size or np.any(colons <= starts) or np.any(colons >= ends - 1):
+        return None
+    tokens = text.replace(":", " ").split()
+    feat_idx = _read_ints(" ".join(tokens[0::2]).encode("ascii"), " ")
+    label_idx = _read_ints(labels, ",")
+    if feat_idx is None or label_idx is None:
+        return None
+    try:
+        values = np.fromiter(map(float, tokens[1::2]), float, starts.size)
+    except ValueError:
+        return None
+    lines = np.concatenate(([0], np.flatnonzero(b == ord("\n")), [b.size]))
+    return (np.diff(np.searchsorted(starts, lines)), feat_idx, values,
+            np.fromiter([f.count(",") + 1 if f else 0 for f in label_fields], np.int64),
+            label_idx)
+
+
+def _read_ints(text, sep):
+    """The int64 tokens of the bytes ``text`` split at the one-character
+    ``sep``, or None unless each token is 1 to _MAX_DIGITS ASCII digits.
+
+    numpy 2 raises on text it cannot read to its end; older numpy warns and
+    returns what it read, so a warning is an error here and the count is
+    checked."""
+    if not text:
+        return np.zeros(0, dtype=np.int64)
+    if text.translate(None, b"0123456789" + sep.encode()):
+        return None
+    seps = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(sep))
+    lengths = np.diff(np.concatenate(([-1], seps, [len(text)]))) - 1
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.fromstring(text, dtype=np.int64, sep=sep)
+    except (ValueError, Warning):
+        return None
+    return out if out.size == lengths.size else None
+
+
+def _parse_lines(body, n, d, L, first_line=2):
     """The line-by-line checker: the dataset of the instance lines, or the
-    DatasetFormatError of the first bad line."""
+    DatasetFormatError of the first bad line; ``body[0]`` is line
+    ``first_line`` of the file."""
     features = []
     labels = []
     for i in range(n):
-        line_no = i + 2
+        line_no = i + first_line
         label_field, _, feat_field = body[i].partition(" ")
         labs = set()
         if label_field:

@@ -129,9 +129,16 @@ def _synthetic_spec(cfg, seed):
 
 
 def _read_dataset(path):
-    """Dense features and labels of a dataset file."""
+    """Dense features and labels of a dataset file; a header whose shapes
+    cannot be allocated is a format error of line 1."""
     ds = read_input(path, "dataset", parse_dataset, DatasetFormatError)
-    return ds.to_dense_X(), ds.label_matrix()
+    try:
+        return ds.to_dense_X(), ds.label_matrix()
+    except (MemoryError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"dataset {path!r}: line 1: {ds.n} x {ds.d} features and {ds.n} x {ds.L} labels "
+            f"are too large to hold as dense arrays ({exc})"
+        ) from None
 
 
 def _load_problem(cfg, seed):

@@ -19,6 +19,7 @@ from nondecomp.dataset_io import (
     write_dataset,
     write_results_csv,
 )
+from nondecomp import dataset_io
 from nondecomp.dataset_io import _parse_bulk, _parse_lines
 from nondecomp.estimator import DenseModel, FactoredModel, predict_scores
 from nondecomp.sampler import OmegaDistribution, sample_omega
@@ -481,6 +482,13 @@ def assert_paths_agree(text):
         assert ds.label_matrix().tobytes() == want.label_matrix().tobytes()
 
 
+def rows_300(odd_row, at):
+    """A 300-row dataset text in the plain spelling but for row ``at``."""
+    rows = [f"{i % 3},{(i + 1) % 3} {i % 4}:{i / 7!r} {(i + 2) % 4}:-{i}" for i in range(300)]
+    rows[at] = odd_row
+    return "300 4 3\n" + "\n".join(rows) + "\n"
+
+
 class TestBulkParseAgreesWithChecker:
     @pytest.mark.parametrize("text", [
         "2 4 3\n0,2 0:1.5 3:-2\n1 1:0.25\n",
@@ -514,9 +522,59 @@ class TestBulkParseAgreesWithChecker:
         "1 4 3\n0 99999999999999999999:1\n",
         "1 4 3\n99999999999999999999 0:1\n",
         "1 4 3\n١ ٢:1\n",
+        "1 4 3\n0 1.0:1\n",
+        "1 4 3\n0 1e0:1\n",
+        "1 4 3\n0 007:1\n",
+        "1 4 3\n0 1:1.2.3\n",
+        "1 4 3\n0 1:1-2\n",
+        "1 4 3\n0 1:1e\n",
+        "1 4 3\n0 1:0x1p3\n",
+        "1 4 3\n0 1:.5\n",
+        "1 4 3\n0 1:5.\n",
+        "1 4 3\n0 1:-0.0\n",
+        "1 4 3\n0 1000000000000000000:1\n",
+        "1 4 3\n0 0000000000000000001:1\n",
+        "1 4 3\n1000000000000000000 0:1\n",
+        "1 4 3\n0000000000000000002 0:1\n",
+        "1 4 3\n1.0 0:1\n",
+        "1 4 3\n1,,2 0:1\n",
+        "1 4 3\n1, 0:1\n",
+        rows_300("\t1 0:1", 280),
+        rows_300("1\r", 280),
+        rows_300("+1 +1:+1", 280),
+        rows_300("0 1:1.2.3", 290),
     ])
     def test_hand_cases(self, text):
         assert_paths_agree(text)
+
+    @pytest.mark.parametrize("row", ["\t1 0:1", "1\r", "+1 +1:+1"])
+    def test_only_the_odd_block_leaves_the_array_route(self, monkeypatch, row):
+        calls = []
+
+        def spy(body, n, d, L, first_line=2):
+            calls.append((first_line, n))
+            return _parse_lines(body, n, d, L, first_line)
+
+        monkeypatch.setattr(dataset_io, "_parse_lines", spy)
+        parse_dataset(io.StringIO(rows_300(row, 280)))
+        assert calls == [(258, 44)]  # rows 256-299, the second block of 256
+
+    def test_error_in_a_later_block_names_its_line(self):
+        with pytest.raises(DatasetFormatError, match="^line 292: bad feature token '1:1.2.3'$"):
+            parse_dataset(io.StringIO(rows_300("0 1:1.2.3", 290)))
+
+    @settings(max_examples=60)
+    @given(ds=datasets())
+    def test_written_text_stays_on_the_array_route(self, ds):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line checker was called")
+
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_io, "_parse_lines", refuse)
+            back = parse_dataset(io.StringIO(buf.getvalue()))
+        assert_same_arrays(back, ds)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -432,6 +432,35 @@ class TestCli:
         assert "line 4: non-finite feature value '1:nan'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "model.txt")
 
+    @pytest.mark.parametrize("task", ["fit", "threshold"])
+    def test_header_beyond_the_address_space_exit_code(self, tmp_path, capsys, task):
+        # numpy refuses the shape before allocating anything
+        data = tmp_path / "wide.txt"
+        data.write_text("2 4611686018427387904 3\n0 0:1\n1 1:2\n")
+        cfg = self.write_config(
+            tmp_path,
+            f"data_path = {data}\nout_dir = {tmp_path}/out\nratio = 1.0\nsolver = plugin\n",
+        )
+        assert main([task, cfg]) == 2
+        assert (f"error: dataset {str(data)!r}: line 1: 2 x 4611686018427387904 features "
+                "and 2 x 3 labels are too large to hold as dense arrays") in capsys.readouterr().err
+
+    def test_dense_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def refuse(ds):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(SparseDataset, "to_dense_X", refuse)
+        data = tmp_path / "ok.txt"
+        data.write_text("2 3 2\n0 0:1\n1 1:2\n")
+        cfg = self.write_config(
+            tmp_path,
+            f"data_path = {data}\nout_dir = {tmp_path}/out\nratio = 1.0\nsolver = plugin\n",
+        )
+        assert main(["fit", cfg]) == 2
+        assert (f"error: dataset {str(data)!r}: line 1: 2 x 3 features and 2 x 2 labels are "
+                "too large to hold as dense arrays (Unable to allocate)") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
+
     @pytest.mark.parametrize("val", ["inf", "nan"])
     def test_nonfinite_theta_exit_code(self, tmp_path, capsys, val):
         cfg = self.write_config(
