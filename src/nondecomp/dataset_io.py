@@ -2,11 +2,11 @@
 tables, and SVG plots.
 
 A dataset is held as CSR arrays (``SparseDataset``). ``parse_dataset``
-converts a file in blocks of rows, each by a few string and numpy calls
-over the block's joined text, and checks the result as arrays. A block
-spelled other than plainly (non-ASCII digits, "+1", tabs in a label field)
-is read by the line-by-line checker instead; only when a check fails does
-that checker read the whole file again, to name the first bad line.
+takes one route per file: a file in the plain spelling is converted in
+blocks of rows, each by a few string and numpy calls over the block's
+joined text, and checked as arrays. Any other file (non-ASCII digits,
+"+1", tabs in a label field), or one that fails a check, is read whole by
+the line-by-line checker, which names the first bad line.
 ``write_dataset`` refuses a dataset whose text ``parse_dataset`` would
 reject, so parse(write(ds)) always gives ds back, and its text is always
 in the plain spelling.
@@ -190,13 +190,13 @@ def parse_dataset(stream):
     0-based. An empty label field (line starting with a space) means no
     positive labels. A feature index may appear once per line.
 
-    The body is converted in blocks of rows. A block in the plain spelling
-    (ASCII digits and commas for labels, ASCII "idx:val" tokens) is read
-    by one np.fromstring for its labels, one for its feature indices and
-    float over its value strings; any other block is read by the
-    line-by-line checker. The arrays are then checked for ranges,
-    finiteness and duplicates. When any line fails, the checker reads the
-    whole body again and raises the error naming the first bad line.
+    The body takes one of two routes. When every block of rows is in the
+    plain spelling (ASCII digits and commas for labels, ASCII "idx:val"
+    tokens), each is read by one np.fromstring for its labels, one for its
+    feature indices and float over its value strings, and the arrays are
+    then checked for ranges, finiteness and duplicates. Otherwise, or when
+    a check fails, the line-by-line checker reads the whole body; it
+    returns the same dataset or raises the error naming the first bad line.
     """
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
@@ -221,21 +221,15 @@ def parse_dataset(stream):
 
 
 def _parse_bulk(body, n, d, L):
-    """The dataset of the instance lines, or None when a line fails a check;
-    no error text is made here."""
+    """The dataset of the instance lines, or None at the first block not in
+    the plain spelling or on a failed check; no error text is made here."""
     empty = np.zeros(0, dtype=np.int64)
     blocks = [(empty, empty, np.zeros(0), empty, empty)]
-    try:
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = body[start:start + _BLOCK_ROWS]
-            arrays = _convert_block(rows)
-            if arrays is None:
-                ds = _parse_lines(rows, len(rows), d, L, first_line=start + 2)
-                arrays = (np.diff(ds.indptr), ds.indices, ds.values,
-                          np.diff(ds.label_indptr), ds.label_indices)
-            blocks.append(arrays)
-    except DatasetFormatError:
-        return None
+    for start in range(0, n, _BLOCK_ROWS):
+        arrays = _convert_block(body[start:start + _BLOCK_ROWS])
+        if arrays is None:
+            return None
+        blocks.append(arrays)
     feat_counts, feat_idx, feat_val, label_counts, label_idx = map(np.concatenate, zip(*blocks))
     ds = SparseDataset.from_arrays(
         n, d, L, _indptr(feat_counts), feat_idx, feat_val, _indptr(label_counts), label_idx,
@@ -308,14 +302,14 @@ def _read_ints(text, sep):
     return out if out.size == lengths.size else None
 
 
-def _parse_lines(body, n, d, L, first_line=2):
+def _parse_lines(body, n, d, L):
     """The line-by-line checker: the dataset of the instance lines, or the
-    DatasetFormatError of the first bad line; ``body[0]`` is line
-    ``first_line`` of the file."""
+    DatasetFormatError of the first bad line; ``body[0]`` is line 2 of the
+    file."""
     features = []
     labels = []
     for i in range(n):
-        line_no = i + first_line
+        line_no = i + 2
         label_field, _, feat_field = body[i].partition(" ")
         labs = set()
         if label_field:

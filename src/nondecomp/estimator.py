@@ -508,7 +508,7 @@ def _factored_objective(X, obs, loss, lam):
 
     def fval(w):
         t = _gather((X @ w[:d]) @ w[d:].T, obs)
-        return float(np.sum(loss.value(t, y))) / m + 0.5 * lam * float(np.sum(w * w))
+        return _empirical_risk(obs, t, loss) + 0.5 * lam * float(np.sum(w * w))
 
     def gauss_newton(w):
         A, W2 = X @ w[:d], w[d:]

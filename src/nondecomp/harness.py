@@ -185,18 +185,6 @@ def _train_observations(cfg, prob, seed, ratio):
     return mask_observations(Y, ratio, OmegaDistribution.uniform(), seed), loss
 
 
-def _solver_config(cfg, loss, seed, regularizer_mode=None):
-    return SolverConfig(
-        loss=loss,
-        lambda_reg=cfg.lambda_reg,
-        lambda_c=cfg.lambda_c,
-        regularizer_mode=regularizer_mode or cfg.regularizer_mode,
-        max_iters=cfg.max_iters,
-        rel_tol=cfg.rel_tol,
-        seed=seed,
-    )
-
-
 def _resolve_k(cfg, prob):
     if cfg.k is not None:
         return cfg.k
@@ -205,16 +193,33 @@ def _resolve_k(cfg, prob):
     return max(1, min(round(0.4 * prob.Y.shape[1]), prob.X.shape[1]))
 
 
-def _fit_solver(cfg, prob, obs, loss, seed, solver=None):
+def _fit_solver(cfg, prob, obs, loss, seed, solver=None, regularizer_mode=None):
+    """Fit ``solver`` (cfg.solver by default) to the observed entries and
+    return (model, report). A fit that stopped because its objective fell
+    below 0 raises NumericalError: only a positive-unlabeled risk estimate
+    can run away so, and such a model is not to be saved or scored."""
     solver = solver or cfg.solver
-    sconf = _solver_config(cfg, loss, seed)
+    sconf = SolverConfig(
+        loss=loss,
+        lambda_reg=cfg.lambda_reg,
+        lambda_c=cfg.lambda_c,
+        regularizer_mode=regularizer_mode or cfg.regularizer_mode,
+        max_iters=cfg.max_iters,
+        rel_tol=cfg.rel_tol,
+        seed=seed,
+    )
     if solver == "alt_min":
-        return fit_alt_min(prob.X, obs, sconf, _resolve_k(cfg, prob))
-    if solver == "prox_grad":
-        return fit_prox_grad(prob.X, obs, sconf)
-    if solver == "plugin":
-        return fit_plugin_baseline(prob.X, obs, cfg.ridge)
-    raise UsageError(f"unknown solver {solver!r}")
+        model, report = fit_alt_min(prob.X, obs, sconf, _resolve_k(cfg, prob))
+    elif solver == "prox_grad":
+        model, report = fit_prox_grad(prob.X, obs, sconf)
+    else:
+        model, report = fit_plugin_baseline(prob.X, obs, cfg.ridge)
+    if report.stop_reason == "negative_objective":
+        raise NumericalError(
+            f"objective {report.objective_trace[-1]:.6g} < 0 at iteration {report.iterations}: "
+            "the positive-unlabeled risk estimate overfits; raise lambda_reg"
+        )
+    return model, report
 
 
 def _groups(spec, rows, cols):
@@ -375,11 +380,6 @@ def cmd_fit(cfg):
     prob = _load_problem(cfg, cfg.seed)
     obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
-    if report.stop_reason == "negative_objective":
-        raise NumericalError(
-            f"objective {report.objective_trace[-1]:.6g} < 0 at iteration {report.iterations}: "
-            "the positive-unlabeled risk estimate overfits; raise lambda_reg"
-        )
     trace_path = _out_path(cfg, "trace.csv")
     with open(path, "w") as fh:
         save_model(model, fh)
@@ -460,6 +460,8 @@ def cmd_convergence(cfg):
     if cfg.noise_model == "gaussian":
         raise UsageError("the convergence experiment needs a binary noise model")
     _distinct_values(cfg, "ratios")
+    if cfg.pu_rho > 0.0 and len(cfg.ratios) > 1:
+        raise UsageError("ratios must hold one value when pu_rho > 0, which observes every entry")
     specs = _experiment_specs(cfg)
 
     # one problem and one fresh test split per repeat, shared by every
@@ -549,6 +551,8 @@ def cmd_rate_check(cfg):
     cfg.require_synthetic()
     if cfg.noise_model != "bernoulli_logistic":
         raise UsageError("rate_check needs noise_model = bernoulli_logistic")
+    if cfg.pu_rho > 0.0:
+        raise UsageError("rate_check fits fully labeled entries; it needs pu_rho = 0")
     total = cfg.n * cfg.L
     grid = tuple(round(total * 2.0 ** -(cfg.grid_points - 1 - i)) for i in range(cfg.grid_points))
     if len(grid) < 3 or len(set(grid)) < len(grid):
@@ -567,8 +571,7 @@ def cmd_rate_check(cfg):
         seed_r = cfg.seed + rep
         prob = problems[rep]
         obs = mask_observations(prob.Y, None, OmegaDistribution.uniform(), seed_r, m=m)
-        sconf = _solver_config(cfg, get_loss(cfg.loss), seed_r, regularizer_mode=mode)
-        model, report = fit_prox_grad(prob.X, obs, sconf)
+        model, report = _fit_solver(cfg, prob, obs, get_loss(cfg.loss), seed_r, "prox_grad", mode)
         return recovery_error(model.W, prob.W_star), report.stop_reason
 
     outcomes = _over_repeats(cfg, product(("param_norm", "score_norm"), grid), run_one)

@@ -458,9 +458,10 @@ class TestRoundTripProperties:
 
 
 def assert_paths_agree(text):
-    """The bulk path and the line checker read ``text`` the same way: the
-    same arrays, X and Y, or both reject it with the checker's message,
-    which parse_dataset raises."""
+    """parse_dataset reads ``text`` as the line checker does: the same
+    arrays, X and Y, or the checker's message. The bulk path gives the same
+    arrays where it returns a dataset, and none for a text the checker
+    rejects."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -475,8 +476,7 @@ def assert_paths_agree(text):
         assert str(err.value) == str(exc)
         return
     got = _parse_bulk(body, n, d, L)
-    assert got is not None
-    for ds in (got, parse_dataset(io.StringIO(text))):
+    for ds in ([] if got is None else [got]) + [parse_dataset(io.StringIO(text))]:
         assert_same_arrays(ds, want)
         assert ds.to_dense_X().tobytes() == want.to_dense_X().tobytes()
         assert ds.label_matrix().tobytes() == want.label_matrix().tobytes()
@@ -548,16 +548,16 @@ class TestBulkParseAgreesWithChecker:
         assert_paths_agree(text)
 
     @pytest.mark.parametrize("row", ["\t1 0:1", "1\r", "+1 +1:+1"])
-    def test_only_the_odd_block_leaves_the_array_route(self, monkeypatch, row):
+    def test_an_odd_row_sends_the_whole_file_to_the_checker(self, monkeypatch, row):
         calls = []
 
-        def spy(body, n, d, L, first_line=2):
-            calls.append((first_line, n))
-            return _parse_lines(body, n, d, L, first_line)
+        def spy(body, n, d, L):
+            calls.append((len(body), n))
+            return _parse_lines(body, n, d, L)
 
         monkeypatch.setattr(dataset_io, "_parse_lines", spy)
         parse_dataset(io.StringIO(rows_300(row, 280)))
-        assert calls == [(258, 44)]  # rows 256-299, the second block of 256
+        assert calls == [(300, 300)]  # one call, over every row
 
     def test_error_in_a_later_block_names_its_line(self):
         with pytest.raises(DatasetFormatError, match="^line 292: bad feature token '1:1.2.3'$"):

@@ -733,10 +733,15 @@ class TestCli:
         (["--pu_rho=1"], "pu_rho"),
         (["--solver=foo"], "solver"),
         (["--n=abc"], "config key 'n'"),
+        # experiment commands under PU; a case that runs a task other than
+        # fit names it first
+        (["convergence", "--pu_rho=0.3", "--ratios=0.1,0.3"], "ratios"),
+        (["rate_check", "--noise_model=bernoulli_logistic", "--pu_rho=0.3"], "pu_rho"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
+        task, *overrides = ["fit", *overrides] if overrides[0].startswith("--") else overrides
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
-        assert main(["fit", cfg, *overrides]) == 2
+        assert main([task, cfg, *overrides]) == 2
         error_line = capsys.readouterr().err.splitlines()[0]
         assert error_line.startswith("error:") and key in error_line
         assert not os.path.exists(tmp_path / "out")
@@ -782,6 +787,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: objective -") and "lambda_reg" in err
         assert not os.path.exists(out)
+
+    def test_pu_runaway_convergence_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a run-away trial stops the experiment as it stops fit, with the
+        # same message at any thread count, and nothing is written
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "convergence.cfg"
+        out = tmp_path / "out"
+        args = ["--pu_rho=0.3", "--n=200", "--L=20", "--d=6", "--rank=2", "--k=2",
+                "--ratios=0.3", "--repeats=1", f"--out_dir={out}"]
+        errors = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NONDECOMP_THREADS", threads)
+            assert main(["convergence", str(cfg), *args]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numerical failure: objective -") and "lambda_reg" in errors[0]
+        assert not os.path.exists(out)
+
+    def test_pu_runaway_compare_exits_1(self, tmp_path, capsys):
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
+        assert main(["synth", str(cfg), f"--out_dir={tmp_path}/synth"]) == 0
+        out = tmp_path / "out"
+        args = [f"--data_path={tmp_path}/synth/dataset.txt", "--pu_rho=0.3", "--repeats=1",
+                f"--out_dir={out}"]
+        capsys.readouterr()
+        assert main(["compare", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: objective -") and "lambda_reg" in err
+        assert not os.path.exists(out)
+        # a lambda_reg large enough to keep the PU-corrected risk above 0
+        assert main(["compare", str(cfg), *args, "--lambda_reg=0.05"]) == 0
+        assert os.path.exists(out / "compare.csv")
 
     def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
