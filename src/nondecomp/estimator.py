@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LogisticLoss
+from .losses import LogisticLoss, evaluation
 
 __all__ = [
     "ObservationSet",
@@ -253,16 +253,16 @@ def _on_entries(obs, values):
     return M.reshape(obs.n, obs.L)
 
 
-def _grad_at_scores(X, obs, t, loss):
-    """Gradient of the empirical risk in W, given the observed scores t."""
-    g = np.asarray(loss.grad_t(t, obs.values), dtype=float) / obs.size
-    return X.T @ _on_entries(obs, g)
+def _grad_from(X, obs, g):
+    """Gradient of the empirical risk in W, given the loss derivatives g in
+    the observed scores."""
+    return X.T @ _on_entries(obs, np.asarray(g, dtype=float) / obs.size)
 
 
 def grad_empirical(X, obs, W, loss):
     """Gradient of the empirical-risk term with respect to W (d x L)."""
     X, W = _check_shapes(X, obs, W)
-    return _grad_at_scores(X, obs, _entry_scores(X, obs, W), loss)
+    return _grad_from(X, obs, loss.grad_t(_entry_scores(X, obs, W), obs.values))
 
 
 def _svt(A, tau):
@@ -364,9 +364,11 @@ def fit_prox_grad(X, obs, config):
     step, and the search fails once it falls below 1e-18. Stops
     when the relative objective change drops below ``rel_tol`` or after
     ``max_iters`` iterations. Each step reuses what its last accepted
-    trial computed: the next gradient comes from that trial's observed
-    scores, and the penalty from the singular values its prox kept, so a
-    trial costs one product X W, one SVD and one loss evaluation.
+    trial computed: the next gradient comes from that trial's loss
+    evaluation (``losses.evaluation``, which for the logistic loss keeps
+    the exponential it formed for the value), and the penalty from the
+    singular values its prox kept, so a trial costs one product X W, one
+    SVD and one loss evaluation.
 
     In score-norm mode the penalty is ||X W||_*. With the reduced
     factorization X = Q R, X W = Q U and ||X W||_* = ||U||_* for U = R W,
@@ -378,7 +380,6 @@ def fit_prox_grad(X, obs, config):
     """
     X = _check_X(X, obs)
     lam = _resolve_lambda(config, obs)
-    loss = config.loss
     R = None
     if config.regularizer_mode == "score_norm":
         # R is d x d, or n x d when n < d; either way its rank is that of X
@@ -387,24 +388,30 @@ def fit_prox_grad(X, obs, config):
             raise NumericalError("score-norm mode needs features with full column rank")
     W = np.zeros((X.shape[1], obs.L))
 
-    # the step size, the observed scores t and smooth part f at W, and the
+    evaluate = evaluation(config.loss, obs.values)
+
+    def smooth_part(W):
+        # the mean loss at W, and the derivatives at its observed scores,
+        # to be taken before the next evaluation
+        values, grad = evaluate(_entry_scores(X, obs, W))
+        return float(np.mean(values)), grad
+
+    # the step size, the smooth part f at W with its derivatives, and the
     # last iterate with its gradient carry over between steps
-    t = _entry_scores(X, obs, W)
-    f = _empirical_risk(obs, t, loss)
+    f, grad = smooth_part(W)
     step = 1.0
     last = None
 
     def prox_step(W, F):
-        nonlocal t, f, step, last
-        G = _grad_at_scores(X, obs, t, loss)
+        nonlocal f, grad, step, last
+        G = _grad_from(X, obs, grad())
         if last is not None:
             step = _first_trial(W - last[0], G - last[1], step)
         last = W, G
         while step >= 1e-18:
             W_new, s = _svt(W - step * G, step * lam)
             diff = W_new - W
-            t_new = _entry_scores(X, obs, W_new)
-            f_new = _empirical_risk(obs, t_new, loss)
+            f_new, grad_new = smooth_part(W_new)
             F_new = f_new + lam * float(s.sum())
             if math.isnan(F_new):
                 raise NumericalError("objective became NaN in a proximal step")
@@ -412,7 +419,7 @@ def fit_prox_grad(X, obs, config):
             # the prox is exact, so the majorization alone implies descent;
             # the second test only absorbs rounding in the objective
             if f_new <= quad + 1e-12 and F_new <= F + 1e-12:
-                t, f = t_new, f_new
+                f, grad = f_new, grad_new
                 return W_new, F_new
             step *= 0.5
         return None

@@ -86,23 +86,32 @@ def _threads():
     return max(1, val)
 
 
-def _over_repeats(cfg, cells, run):
-    """Call run(cell, rep) for every cell and each of cfg.repeats repeats,
-    on a thread pool when NONDECOMP_THREADS allows, and return each cell's
-    outcomes in repeat order; once a call raises, the queued calls are
-    dropped."""
+def _over_repeats(cfg, names, cells, run):
+    """Call run(cell, rep) for every cell, a tuple of values for ``names``,
+    and each of cfg.repeats repeats, on a thread pool when
+    NONDECOMP_THREADS allows, and return each cell's outcomes in repeat
+    order; once a call raises, the queued calls are dropped. A
+    NumericalError is raised again with the cell and repeat appended."""
     cells = list(cells)
     reps = range(cfg.repeats)
     keys = list(product(cells, reps))
+
+    def run_named(cell, rep):
+        try:
+            return run(cell, rep)
+        except NumericalError as exc:
+            where = ", ".join(f"{name}={value}" for name, value in zip(names, cell))
+            raise NumericalError(f"{exc} ({where}, repeat={rep})") from exc
+
     workers = min(_threads(), len(keys))
     if workers <= 1:
-        outcomes = {key: run(*key) for key in keys}
+        outcomes = {key: run_named(*key) for key in keys}
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = {key: pool.submit(run, *key) for key in keys}
+            futures = {key: pool.submit(run_named, *key) for key in keys}
             outcomes = {key: futures[key].result() for key in keys}
         finally:
             pool.shutdown(cancel_futures=True)
@@ -476,7 +485,8 @@ def cmd_convergence(cfg):
         prob, X_t, Y_t = problems[rep]
         return _trial(cfg, prob, cfg.seed + rep, ratio, method, specs, X_t, Y_t)
 
-    outcomes = _over_repeats(cfg, product(cfg.methods, cfg.ratios), run_one)
+    cells = product(cfg.methods, cfg.ratios)
+    outcomes = _over_repeats(cfg, ("method", "ratio"), cells, run_one)
     summary = {
         (method, name, ratio): _mean_sd([o[name] for o in outcomes[(method, ratio)]])
         for method in sorted(cfg.methods)
@@ -520,15 +530,15 @@ def cmd_compare(cfg):
             raise UsageError("test dataset dimensions do not match the training data")
         split = "test"
 
-    def run_one(method, rep):
-        return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, method, specs, X_e, Y_e)
+    def run_one(cell, rep):
+        return _trial(cfg, prob, cfg.seed + rep, cfg.ratio, cell[0], specs, X_e, Y_e)
 
-    outcomes = _over_repeats(cfg, cfg.methods, run_one)
+    outcomes = _over_repeats(cfg, ("method",), product(cfg.methods), run_one)
     chash = cfg.config_hash()
     rows = []
     for method in sorted(cfg.methods):
         for name in cfg.metrics:
-            mean, sd = _mean_sd([o[name] for o in outcomes[method]])
+            mean, sd = _mean_sd([o[name] for o in outcomes[(method,)]])
             rows.append(ResultRow(method, name, split, mean, sd / np.sqrt(cfg.repeats), chash))
     csv_path = _out_path(cfg, "compare.csv")
     with open(csv_path, "w") as fh:
@@ -574,7 +584,8 @@ def cmd_rate_check(cfg):
         model, report = _fit_solver(cfg, prob, obs, get_loss(cfg.loss), seed_r, "prox_grad", mode)
         return recovery_error(model.W, prob.W_star), report.stop_reason
 
-    outcomes = _over_repeats(cfg, product(("param_norm", "score_norm"), grid), run_one)
+    cells = product(("param_norm", "score_norm"), grid)
+    outcomes = _over_repeats(cfg, ("mode", "omega"), cells, run_one)
     points = {cell: _mean_sd([err for err, _ in fits]) for cell, fits in outcomes.items()}
     # a fit that stopped at max_iters or line_search still feeds the slope
     stops = Counter(stop for fits in outcomes.values() for _, stop in fits)

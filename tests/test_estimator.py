@@ -551,6 +551,41 @@ class TestProxGradAtRateCheckSize:
             iterations += report.iterations
         assert trials / iterations <= bound
 
+    class PlainLogistic:
+        """The logistic loss through value, grad_t and hess_t alone, so a fit
+        takes the default evaluation; its value calls are counted."""
+
+        name = "logistic"
+
+        def __init__(self):
+            self.base = LogisticLoss()
+            self.value_calls = 0
+
+        def value(self, t, y):
+            self.value_calls += 1
+            return self.base.value(t, y)
+
+        def grad_t(self, t, y):
+            return self.base.grad_t(t, y)
+
+        def hess_t(self, t, y):
+            return self.base.hess_t(t, y)
+
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_bound_evaluation_fits_like_the_plain_protocol(self, problems, mode):
+        # the logistic loss's bound evaluation reuses its buffers from trial
+        # to trial; a gradient read from a rejected trial's terms would part
+        # the two fits at the first rejection
+        rejected = 0
+        for X, obs in problems:
+            plain = self.PlainLogistic()
+            model, report = fit_prox_grad(X, obs, self.config(mode))
+            ref_model, ref_report = fit_prox_grad(X, obs, self.config(mode, plain))
+            assert np.array_equal(model.W, ref_model.W)
+            assert report.objective_trace == ref_report.objective_trace
+            rejected += plain.value_calls - 1 - ref_report.iterations
+        assert rejected > 0
+
     @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
     def test_stops_near_a_tightly_converged_reference(self, problems, mode):
         # fewer trials must not come from stopping earlier

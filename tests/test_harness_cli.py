@@ -2,6 +2,7 @@ import os
 import pathlib
 import time
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
@@ -294,13 +295,13 @@ class TestConvergence:
 
         def fn(cell, rep):
             calls.append(cell)
-            if cell == 0:
+            if cell == (0,):
                 raise UsageError("first trial fails")
             time.sleep(0.05)
             return cell
 
         with pytest.raises(UsageError, match="first trial fails"):
-            harness._over_repeats(ExperimentConfig(repeats=1), range(40), fn)
+            harness._over_repeats(ExperimentConfig(repeats=1), ("i",), product(range(40)), fn)
         assert len(calls) < 10
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
@@ -803,6 +804,16 @@ class TestCli:
         assert errors[0] == errors[1]
         assert errors[0].startswith("numerical failure: objective -") and "lambda_reg" in errors[0]
         assert not os.path.exists(out)
+
+    def test_pu_runaway_error_names_its_cell(self, tmp_path, capsys):
+        # the grid runner appends the cell and repeat of the fit that ran away
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "convergence.cfg"
+        args = ["--pu_rho=0.3", "--n=200", "--L=20", "--d=6", "--rank=2", "--k=2",
+                "--ratios=0.3", "--repeats=1", f"--out_dir={tmp_path}/out"]
+        assert main(["convergence", str(cfg), *args]) == 1
+        line = capsys.readouterr().err.splitlines()[0]
+        assert line.startswith("numerical failure: objective -") and "lambda_reg" in line
+        assert line.endswith("(method=algorithm1, ratio=0.3, repeat=0)")
 
     def test_pu_runaway_compare_exits_1(self, tmp_path, capsys):
         cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"

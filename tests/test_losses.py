@@ -5,7 +5,9 @@ import pytest
 
 from nondecomp.losses import (
     LOSS_NAMES,
+    LogisticLoss,
     PULossWrapper,
+    evaluation,
     get_loss,
     sigmoid,
 )
@@ -195,6 +197,77 @@ class TestLogisticKernels:
             want = reference_sigmoid(KERNEL_ARGS)
         assert ulps_apart(got, want).max() <= 4.0
         assert float(sigmoid(0.0)) == 0.5
+
+
+def separate_value(t, y):
+    """The logistic value as its own formula, forming its own exponential."""
+    x = -(2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(t, dtype=float)
+    with np.errstate(under="ignore"):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def separate_grad_t(t, y):
+    """The logistic derivative as its own formula: -y~ sigmoid(-y~ t), the
+    sigmoid one division of the numerator chosen by np.where."""
+    ys = 2.0 * np.asarray(y, dtype=float) - 1.0
+    u = -ys * np.asarray(t, dtype=float)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(u))
+    return -ys * (np.where(u >= 0, 1.0, e) / (1.0 + e))
+
+
+LABELS = {
+    "zeros": np.zeros_like(KERNEL_ARGS),
+    "ones": np.ones_like(KERNEL_ARGS),
+    "mixed": np.random.default_rng(1).integers(0, 2, size=KERNEL_ARGS.size).astype(float),
+}
+
+
+class TestLogisticEvaluation:
+    """The fused logistic kernel gives the bits of the separate formulas."""
+
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    def test_bound_evaluation_matches_separate_formulas(self, labels):
+        t, y = KERNEL_ARGS, LABELS[labels]
+        loss = LogisticLoss()
+        evaluate = evaluation(loss, y)
+        with np.errstate(all="raise"):
+            # a first call at other scores must leave nothing behind
+            evaluate(-t)
+            values, grad = evaluate(t)
+            fused = (values.copy(), grad())
+            plain = (loss.value(t, y), loss.grad_t(t, y))
+        want = (separate_value(t, y), separate_grad_t(t, y))
+        for got in (fused, plain):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_scalars_and_broadcast_labels(self):
+        loss = LogisticLoss()
+        for y in (0, 1):
+            assert loss.value(0.7, y) == separate_value(0.7, y)
+            assert loss.grad_t(-0.7, y) == separate_grad_t(-0.7, y)
+            assert np.array_equal(loss.value(KERNEL_ARGS, y), separate_value(KERNEL_ARGS, y))
+        assert isinstance(loss.value(0.7, 1), float)
+        # sigmoid(t) is the derivative at label 0
+        with np.errstate(all="raise"):
+            assert np.array_equal(sigmoid(KERNEL_ARGS), separate_grad_t(KERNEL_ARGS, 0))
+
+    def test_other_losses_take_the_default(self):
+        t, y = KERNEL_ARGS[9:], LABELS["mixed"][9:]
+        for loss in (get_loss("squared"), PULossWrapper(LogisticLoss(), 0.3)):
+            values, grad = evaluation(loss, y)(t)
+            assert np.array_equal(values, loss.value(t, y))
+            assert np.array_equal(grad(), loss.grad_t(t, y))
+
+    def test_subclass_redefining_value_takes_the_default(self):
+        class Doubled(LogisticLoss):
+            def value(self, t, y):
+                return 2.0 * super().value(t, y)
+
+        t, y = KERNEL_ARGS, LABELS["mixed"]
+        assert Doubled.bind is None and LogisticLoss.bind is not None
+        values, _ = evaluation(Doubled(), y)(t)
+        assert np.array_equal(values, 2.0 * separate_value(t, y))
 
 
 class TestStableHelpers:
