@@ -9,13 +9,15 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
   on the orthonormal factor of the features.
 * ``fit_alt_min`` -- damped Gauss-Newton-CG steps on both factors of the
   rank-k factorization at once, with the standard Frobenius surrogate of
-  the nuclear penalty (the name is kept from alternating minimization).
-  Each step scatters its curvature into an n x L array and allocates one
-  n x L work buffer, so every CG matvec is a few small matrix products
-  instead of per-entry gathers; ``predict_scores``, ``grad_empirical``
+  the nuclear penalty (the name is kept from alternating minimization),
+  started at the spectral estimate of the observed labels. Each step
+  scatters its curvature into an n x L array and allocates one n x L
+  work buffer, so every CG matvec is a few small matrix products instead
+  of per-entry gathers; ``predict_scores``, ``grad_empirical``
   and the plugin fit form n x L arrays anyway.
 * ``fit_plugin_baseline`` -- independent per-label ridge-regularized
-  logistic fits, the comparison method that ignores label correlations.
+  logistic fits, the comparison method that ignores label correlations;
+  each Newton step solves all of its per-label Hessian blocks at once.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class SolverConfig:
     """Knobs shared by the solvers.
 
     ``lambda_reg=None`` resolves to the sample-size default
-    2 * lambda_c / sqrt(m) for m observed entries.
+    2 * lambda_c / sqrt(m) for m observed entries. ``seed`` only draws the
+    columns of alt_min's start that its spectral estimate leaves at zero;
+    the other solvers start from W = 0.
     """
 
     loss: object = field(default_factory=LogisticLoss)
@@ -538,17 +542,54 @@ def _factored_objective(X, obs, loss, lam):
     return fval, gauss_newton
 
 
+def _spectral_start(X, obs, loss, k, seed):
+    """The packed factors [W1; W2] that alt_min starts from: the spectral
+    estimate of the observed labels used by provable alternating
+    minimization (Jain, Netrapalli and Sanghavi, arXiv:1212.0467; with side
+    features, Jain and Dhillon, arXiv:1306.0626).
+
+    Each observed entry gets the score -loss'(0, y) / loss''(0, y) of one
+    Newton step from zero (2 y~ for logistic, y~ for squared and
+    exponential, y for gaussian; 0 where loss''(0, y) <= 0). Scattered
+    into an n x L array and divided by the sampling rate p = m / (n L), it
+    is an unbiased estimate of the full target matrix T. M = argmin
+    ||X M - T||_F, and W1 = U_k S_k^1/2, W2 = V_k S_k^1/2 are the balanced
+    factors of its top k singular triples. A column whose singular value
+    is at most ``_RANK_CUTOFF`` times the largest keeps the draw
+    N(0, 1/k) seeded by ``seed``: a zero column pair has zero gradient and
+    would never move.
+    """
+    d = X.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 29)))
+    w = rng.standard_normal((d + obs.L, k)) * (1.0 / math.sqrt(k))
+    zero = np.zeros(obs.size)
+    g = np.asarray(loss.grad_t(zero, obs.values), dtype=float)
+    h = np.asarray(loss.hess_t(zero, obs.values), dtype=float)
+    target = np.divide(-g, h, out=np.zeros(obs.size), where=h > 0.0)
+    p = obs.size / (obs.n * obs.L)
+    M = np.linalg.lstsq(X, _on_entries(obs, target / p), rcond=None)[0]
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = s[:k] > _RANK_CUTOFF * s[0]
+    root = np.sqrt(s[:k][keep])
+    w[:d, keep] = U[:, :k][:, keep] * root
+    w[d:, keep] = Vt[:k][keep].T * root
+    return w
+
+
 def fit_alt_min(X, obs, config, k):
     """Joint second-order minimization of the rank-k factorization.
 
     The objective is the empirical risk plus lam/2 * (||W1||_F^2 +
     ||W2||_F^2), the variational surrogate of the nuclear norm at rank k.
-    Each iteration is one damped Gauss-Newton step on W1 and W2 together:
-    the direction comes from conjugate gradient on Gauss-Newton matrix-
-    vector products (``_factored_objective``), stopped at the forcing
-    tolerance min(0.5, sqrt(||gradient||)) of Eisenstat and Walker, and an
-    Armijo backtracking search on the full objective makes every step
-    monotone. The objective trace records the value after every iteration.
+    The fit starts at the spectral estimate of the observed labels
+    (``_spectral_start``); ``config.seed`` only draws the columns that
+    estimate leaves at zero. Each iteration is one damped Gauss-Newton
+    step on W1 and W2 together: the direction comes from conjugate
+    gradient on Gauss-Newton matrix-vector products
+    (``_factored_objective``), stopped at the forcing tolerance
+    min(0.5, sqrt(||gradient||)) of Eisenstat and Walker, and an Armijo
+    backtracking search on the full objective makes every step monotone.
+    The objective trace records the value after every iteration.
     """
     if config.regularizer_mode != "param_norm":
         raise ValueError("alt_min supports only regularizer_mode = param_norm")
@@ -557,8 +598,7 @@ def fit_alt_min(X, obs, config, k):
     if not 1 <= k <= min(d, obs.L):
         raise ValueError(f"rank k must lie in [1, min(d, L)] = [1, {min(d, obs.L)}]")
     lam = _resolve_lambda(config, obs)
-    rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), 29)))
-    w = rng.standard_normal((d + obs.L, k)) * (1.0 / math.sqrt(k))
+    w = _spectral_start(X, obs, config.loss, k, config.seed)
     fval, gauss_newton = _factored_objective(X, obs, config.loss, lam)
 
     def linearize(wv):
@@ -575,14 +615,32 @@ def fit_alt_min(X, obs, config, k):
     return model, _report(trace, stop_reason, model.dense())
 
 
+def _solve_blocks(H, G):
+    """The d x L matrix D whose column j solves H[j] D[:, j] = G[:, j], for
+    the L Hessian blocks H (L x d x d), in one stacked solve. Only if some
+    block is singular is each block solved on its own, and a singular
+    block's column is its gradient G[:, j]."""
+    try:
+        return np.linalg.solve(H, G.T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        D = np.empty_like(G)
+        for j, block in enumerate(H):
+            try:
+                D[:, j] = np.linalg.solve(block, G[:, j])
+            except np.linalg.LinAlgError:
+                D[:, j] = G[:, j]
+        return D
+
+
 def fit_plugin_baseline(X, obs, ridge):
     """Independent per-label logistic fits, the correlation-blind baseline.
 
     Minimizes the sum over labels j of the mean logistic loss on label j's
     observed entries plus ridge/2 * ||W[:, j]||^2 by damped Newton steps
     from W = 0. The labels share no term, so each step solves one d x d
-    Hessian block per label. Labels with no observations keep a zero
-    column (score 0, probability one half). Returns (DenseModel, FitReport).
+    Hessian block per label, all in one stacked solve (``_solve_blocks``).
+    Labels with no observations keep a zero column (score 0, probability
+    one half). Returns (DenseModel, FitReport).
     """
     if not 0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and nonnegative")
@@ -606,15 +664,11 @@ def fit_plugin_baseline(X, obs, ridge):
 
         def newton_direction(G):
             h = weight * loss.hess_t(t, y)
-            D = np.empty_like(G)
+            H = np.empty((obs.L, X.shape[1], X.shape[1]))
             for j, idx in enumerate(cols_idx):
                 A = X[obs.rows[idx]]
-                H = (A * h[idx, None]).T @ A + (ridge + 1e-12) * eye
-                try:
-                    D[:, j] = np.linalg.solve(H, G[:, j])
-                except np.linalg.LinAlgError:
-                    D[:, j] = G[:, j]
-            return D
+                H[j] = (A * h[idx, None]).T @ A + (ridge + 1e-12) * eye
+            return _solve_blocks(H, G)
 
         return G, newton_direction
 

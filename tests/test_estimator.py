@@ -14,6 +14,8 @@ from nondecomp.estimator import (
     _factored_objective,
     _first_trial,
     _newton_step,
+    _solve_blocks,
+    _spectral_start,
     default_lambda,
     fit_alt_min,
     fit_plugin_baseline,
@@ -705,6 +707,84 @@ class TestFitAltMin:
             fit_alt_min(X, obs, cfg, k=2)
 
 
+class TestSpectralStart:
+    """alt_min starts at the spectral estimate of the observed labels;
+    the seed only draws the columns that estimate leaves at zero."""
+
+    LOSSES = [
+        ("logistic", LogisticLoss()),
+        ("squared", get_loss("squared")),
+        ("exponential", get_loss("exponential")),
+        ("gaussian", get_loss("gaussian")),
+        ("pu_logistic", PULossWrapper(LogisticLoss(), 0.3)),
+    ]
+
+    @pytest.mark.parametrize("name,loss", LOSSES, ids=[name for name, _ in LOSSES])
+    def test_finite_and_bit_identical_on_rerun(self, name, loss):
+        rng = np.random.default_rng(30)
+        X, obs = random_instance(rng, 40, 5, 8, frac=0.4,
+                                 loss="gaussian" if name == "gaussian" else "logistic")
+        w = _spectral_start(X, obs, loss, 3, seed=4)
+        assert w.shape == (5 + 8, 3) and np.all(np.isfinite(w))
+        assert np.array_equal(w, _spectral_start(X, obs, loss, 3, seed=4))
+        # every column is spectral here, so the seed does not enter
+        assert np.array_equal(w, _spectral_start(X, obs, loss, 3, seed=5))
+
+    def test_rank_deficient_target_keeps_every_column_moving(self):
+        # every label observed and equal: the target is a constant matrix
+        # of rank 1, so the second column falls back to the seeded draw
+        rng = np.random.default_rng(31)
+        n, d, L = 30, 4, 6
+        X = rng.normal(size=(n, d))
+        rows = np.repeat(np.arange(n), L)
+        cols = np.tile(np.arange(L), n)
+        obs = ObservationSet(n, L, rows, cols, np.ones(n * L))
+        loss = LogisticLoss()
+        w = _spectral_start(X, obs, loss, 2, seed=0)
+        other = _spectral_start(X, obs, loss, 2, seed=1)
+        for block in (w[:d], w[d:]):
+            assert np.all(np.any(block != 0.0, axis=0))
+        np.testing.assert_array_equal(w[:, 0], other[:, 0])
+        assert not np.array_equal(w[:, 1], other[:, 1])
+        cfg = SolverConfig(loss=loss, lambda_reg=0.01, seed=0)
+        model, report = fit_alt_min(X, obs, cfg, k=2)
+        assert report.stop_reason == "rel_tol" and report.converged
+        assert np.all(np.diff(report.objective_trace) <= 1e-10)
+        assert np.all(np.isfinite(model.W1)) and np.all(np.isfinite(model.W2))
+
+    @pytest.fixture(scope="class")
+    def convergence_problem(self):
+        # the problem of acceptance criterion 5 at seed 0
+        from nondecomp.dataset_io import mask_observations
+        from nondecomp.sampler import OmegaDistribution, SyntheticSpec, generate_problem
+
+        spec = SyntheticSpec(n=1000, L=100, d=10, rank=5, seed=0,
+                             noise_model="noise_free_sign", theta_star=0.0)
+        X, _, Y = generate_problem(spec)
+        return X, lambda ratio: mask_observations(Y, ratio, OmegaDistribution.uniform(), seed=0)
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.3])
+    def test_few_steps_at_the_convergence_experiment(self, convergence_problem, ratio,
+                                                     monkeypatch):
+        import nondecomp.estimator as estimator
+
+        X, observe = convergence_problem
+        obs = observe(ratio)
+        cfg = SolverConfig(loss=LogisticLoss(), lambda_reg=3e-5, max_iters=100,
+                           rel_tol=1e-6, seed=0)
+        _, report = fit_alt_min(X, obs, cfg, k=5)
+        assert report.converged and report.iterations <= 12
+
+        def random_start(X, obs, loss, k, seed):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), 29)))
+            return rng.standard_normal((X.shape[1] + obs.L, k)) * (1.0 / math.sqrt(k))
+
+        monkeypatch.setattr(estimator, "_spectral_start", random_start)
+        _, ref = fit_alt_min(X, obs, cfg, k=5)
+        assert ref.converged
+        assert report.objective_trace[-1] <= (1.0 + 1e-7) * ref.objective_trace[-1]
+
+
 class TestFactoredObjective:
     """The alt_min objective over the packed factors [W1; W2], against
     finite differences and an explicit Jacobian."""
@@ -849,6 +929,50 @@ class TestPluginBaseline:
         assert trace[0] == pytest.approx(obs.L * math.log(2))
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert report.converged
+
+    def test_singular_block_matches_per_label_solves(self, monkeypatch):
+        # with ridge = 0, label 0 sees only copies of one large feature
+        # vector, so its Hessian block has four equal entries that the
+        # 1e-12 damping does not change: the stacked solve raises, and each
+        # label is solved on its own, label 0 falling back to its gradient
+        import nondecomp.estimator as estimator
+
+        rng = np.random.default_rng(22)
+        n, L = 30, 3
+        X = rng.normal(size=(n, 2))
+        X[:5] = 1e4
+        rows = np.concatenate([np.arange(5), np.arange(5, n), np.arange(5, n)])
+        cols = np.repeat([0, 1, 2], [5, n - 5, n - 5])
+        obs = ObservationSet(n, L, rows, cols, rng.integers(0, 2, size=rows.size).astype(float))
+        model, report = fit_plugin_baseline(X, obs, ridge=0.0)
+
+        singular = []
+
+        def per_label(H, G):
+            D = np.empty_like(G)
+            for j in range(G.shape[1]):
+                try:
+                    D[:, j] = np.linalg.solve(H[j], G[:, j])
+                except np.linalg.LinAlgError:
+                    singular.append(j)
+                    D[:, j] = G[:, j]
+            return D
+
+        monkeypatch.setattr(estimator, "_solve_blocks", per_label)
+        ref_model, ref_report = fit_plugin_baseline(X, obs, ridge=0.0)
+        assert 0 in singular
+        np.testing.assert_array_equal(model.W, ref_model.W)
+        assert report.objective_trace == ref_report.objective_trace
+        assert np.all(np.isfinite(model.W))
+
+    def test_stacked_solve_matches_per_label_solves(self):
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(6, 4, 4))
+        H = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        G = rng.normal(size=(4, 6))
+        D = _solve_blocks(H, G)
+        for j in range(6):
+            assert np.array_equal(D[:, j], np.linalg.solve(H[j], G[:, j]))
 
     def test_negative_ridge_rejected(self):
         rng = np.random.default_rng(20)
