@@ -195,6 +195,8 @@ class ExperimentConfig:
             raise UsageError("gamma_clip must be positive")
         if not 0 <= self.ridge < math.inf:
             raise UsageError("ridge must be finite and nonnegative")
+        if self.test_path is not None and self.data_path is None:
+            raise UsageError("test_path is only read with data_path")
 
     def require_synthetic(self):
         if self.data_path is not None:

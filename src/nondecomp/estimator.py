@@ -368,9 +368,10 @@ def fit_prox_grad(X, obs, config):
     step, and the search fails once it falls below 1e-18. Stops
     when the relative objective change drops below ``rel_tol`` or after
     ``max_iters`` iterations. Each step reuses what its last accepted
-    trial computed: the next gradient comes from that trial's loss
-    evaluation (``losses.evaluation``, which for the logistic loss keeps
-    the exponential it formed for the value), and the penalty from the
+    trial computed: the next gradient is the ``grad()`` of that trial's
+    loss evaluation (``losses.evaluation``, whose ``values()`` gave the
+    trial's mean loss; for the logistic loss both read the one
+    exponential the evaluation formed), and the penalty comes from the
     singular values its prox kept, so a trial costs one product X W, one
     SVD and one loss evaluation.
 
@@ -398,7 +399,7 @@ def fit_prox_grad(X, obs, config):
         # the mean loss at W, and the derivatives at its observed scores,
         # to be taken before the next evaluation
         values, grad = evaluate(_entry_scores(X, obs, W))
-        return float(np.mean(values)), grad
+        return float(np.mean(values())), grad
 
     # the step size, the smooth part f at W with its derivatives, and the
     # last iterate with its gradient carry over between steps

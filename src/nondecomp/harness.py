@@ -236,10 +236,11 @@ def _groups(spec, rows, cols):
     return {"micro": None, "instance": rows, "macro": cols}[spec.mode]
 
 
-def _tune_threshold(spec, z_obs, y_obs, rows, cols):
-    """Sweep on the training entries; fall back to the all-negative
-    sentinel when no thresholding achieves a positive metric value."""
-    result = threshold_sweep(z_obs, y_obs, spec, _groups(spec, rows, cols))
+def _tune_threshold(spec, z_obs, obs):
+    """Sweep on the training entries ``obs``, scored z_obs; fall back to the
+    all-negative sentinel when no thresholding achieves a positive value."""
+    y_obs = obs.values.astype(np.int8)
+    result = threshold_sweep(z_obs, y_obs, spec, _groups(spec, obs.rows, obs.cols))
     theta = result.theta_hat
     degenerate = result.value == 0.0
     if degenerate:
@@ -273,11 +274,7 @@ def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
         solver = cfg.solver if cfg.solver != "plugin" else "alt_min"
     model, _ = _fit_solver(cfg, prob, obs, loss, seed, solver=solver)
     z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
-    y_obs = obs.values.astype(np.int8)
-    tuned = {
-        name: (spec, _tune_threshold(spec, z_obs, y_obs, obs.rows, obs.cols)[0])
-        for name, spec in specs.items()
-    }
+    tuned = {name: (spec, _tune_threshold(spec, z_obs, obs)[0]) for name, spec in specs.items()}
     return {name: info.value for name, info in _evaluate(cfg, model, X_e, Y_e, tuned).items()}
 
 
@@ -416,9 +413,7 @@ def cmd_threshold(cfg):
     _binary_required(obs.values, "threshold tuning")
     model = _read_model(cfg, prob.X.shape[1], prob.Y.shape[1])
     z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
-    theta, result, degenerate = _tune_threshold(
-        spec, z_obs, obs.values.astype(np.int8), obs.rows, obs.cols
-    )
+    theta, result, degenerate = _tune_threshold(spec, z_obs, obs)
     model.theta = theta
     with open(_model_path(cfg), "w") as fh:
         save_model(model, fh)

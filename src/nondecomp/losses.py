@@ -11,12 +11,14 @@ second derivative ``hess_t(t, y)`` (for the Newton steps). All are
 vectorized over numpy arrays and accept plain scalars.
 
 ``evaluation(loss, y)`` is the loss at labels fixed for a whole fit: a
-function of the scores t that returns ``value(t, y)`` and a function
-giving ``grad_t(t, y)``. By default it calls ``value`` and ``grad_t``. A
-loss may provide it as a method ``bind(y)`` instead: ``LogisticLoss``
-does, forming the +/-1 labels once and exp(-|y~ t|) once for both
-results, in buffers that each call reuses. Its subclasses that redefine
-``value`` or ``grad_t`` get the default.
+function of the scores t that returns two functions, ``values()`` giving
+``value(t, y)`` and ``grad()`` giving ``grad_t(t, y)``, each valid until
+the next call. By default they call ``value`` and ``grad_t``. A loss may
+provide it as a method ``bind(y)`` instead: ``LogisticLoss`` does, and its
+``value``, ``grad_t`` and ``sigmoid`` run the same kernel, which forms the
++/-1 labels once and exp(-|y~ t|) once per call for both functions. A
+subclass that redefines ``value`` or ``grad_t`` gets ``bind = None``, so
+it is evaluated through them.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ _EXP_CAP = 700.0
 
 def sigmoid(t):
     """Numerically stable logistic function 1 / (1 + exp(-t)): the logistic
-    loss's derivative at label 0, formed by its kernel (``_LogisticTerms``)
-    with e = exp(-|t|) <= 1. exp underflowing to 0 is the exact limit, so
-    that underflow is not flagged.
+    loss's derivative at label 0, formed by its kernel (``_bind``) with
+    e = exp(-|t|) <= 1. exp underflowing to 0 is the exact limit, so that
+    underflow is not flagged.
     """
-    terms = _terms(t, 0.0)
-    return terms.grad(terms.x, terms.e)[()]
+    return _evaluated(t, 0.0)[1]()[()]
 
 
 def _signed(y):
@@ -56,44 +57,43 @@ def _signed(y):
     return 2.0 * np.asarray(y, dtype=float) - 1.0
 
 
-class _LogisticTerms:
-    """x = -y~ t and e = exp(-|x|) for labels y, formed by ``at(t)`` into
-    buffers of the given shape that later calls overwrite. ``value`` and
-    ``grad`` read the terms of the last scores and write into ``out``,
-    using ``work`` as scratch; a caller that needs the terms only once may
-    pass x and e themselves."""
+def _bind(y):
+    """The logistic loss at labels y: a function of the scores t, of the
+    shape of y, returning (values, grad). It forms x = -y~ t and
+    e = exp(-|x|) into buffers that the next call overwrites; values() and
+    grad() read them, so both are valid until that call."""
+    nys = -_signed(y)
+    x, e, vals, work = (np.empty(nys.shape) for _ in range(4))
 
-    def __init__(self, y, shape):
-        self.nys = -_signed(y)
-        self.x, self.e = np.empty(shape), np.empty(shape)
-
-    def at(self, t):
-        np.multiply(self.nys, t, out=self.x)
-        np.negative(np.abs(self.x, out=self.e), out=self.e)
+    def evaluate(t):
+        np.multiply(nys, t, out=x)
+        np.negative(np.abs(x, out=e), out=e)
         with np.errstate(under="ignore"):
-            np.exp(self.e, out=self.e)
-        return self
+            np.exp(e, out=e)
+        return values, grad
 
-    def value(self, out, work):
+    def values():
         # log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), the formula
         # np.logaddexp(0, x) evaluates, without its general two-argument path
-        np.maximum(self.x, 0.0, out=out)
+        np.maximum(x, 0.0, out=vals)
         with np.errstate(under="ignore"):
-            np.log1p(self.e, out=work)
-        return np.add(out, work, out=out)
+            np.log1p(e, out=work)
+        return np.add(vals, work, out=vals)
 
-    def grad(self, out, work):
+    def grad():
         # -y~ sigmoid(x); sigmoid(x) is 1 / (1 + e) for x >= 0 and e / (1 + e)
         # otherwise, one division of the chosen numerator. As 0 <= e <= 1
         # that numerator is max(e, [x >= 0]), with no branch per entry
-        np.maximum(self.e, self.x >= 0, out=out)
-        np.divide(out, np.add(1.0, self.e, out=work), out=out)
-        return np.multiply(self.nys, out, out=out)
+        out = np.maximum(e, x >= 0, out=np.empty(nys.shape))
+        np.divide(out, np.add(1.0, e, out=work), out=out)
+        return np.multiply(nys, out, out=out)
+
+    return evaluate
 
 
-def _terms(t, y):
-    """The terms at scores t, in buffers of the broadcast shape of t and y."""
-    return _LogisticTerms(y, np.broadcast_shapes(np.shape(t), np.shape(y))).at(t)
+def _evaluated(t, y):
+    """``_bind`` at labels y broadcast against the scores t, evaluated at t."""
+    return _bind(np.broadcast_arrays(t, y)[1])(t)
 
 
 class LogisticLoss:
@@ -108,12 +108,10 @@ class LogisticLoss:
             cls.bind = None
 
     def value(self, t, y):
-        terms = _terms(t, y)
-        return terms.value(terms.x, terms.e)[()]
+        return _evaluated(t, y)[0]()[()]
 
     def grad_t(self, t, y):
-        terms = _terms(t, y)
-        return terms.grad(terms.x, terms.e)[()]
+        return _evaluated(t, y)[1]()[()]
 
     def hess_t(self, t, y):
         # sigmoid(t) * sigmoid(-t) = e / (1 + e)^2 with e = exp(-|t|); the
@@ -123,16 +121,7 @@ class LogisticLoss:
         return e / (1.0 + e) ** 2
 
     def bind(self, y):
-        terms = _LogisticTerms(y, np.shape(y))
-        values, work = np.empty(np.shape(y)), np.empty(np.shape(y))
-
-        def evaluate(t):
-            return terms.at(t).value(values, work), grad
-
-        def grad():
-            return terms.grad(np.empty_like(work), work)
-
-        return evaluate
+        return _bind(y)
 
 
 class SquaredLoss:
@@ -242,14 +231,15 @@ LOSS_NAMES = tuple(sorted(_LOSSES))
 
 def evaluation(loss, y):
     """``loss`` at labels y fixed for a fit: a function of the scores t that
-    returns (value(t, y), grad), where grad() gives grad_t(t, y). Its
-    results may live in buffers that the next call overwrites, so each is
-    to be used before the next call. ``loss.bind(y)`` provides it where
-    the loss has that method; otherwise value and grad_t are called."""
+    returns (values, grad), where values() gives value(t, y) and grad()
+    gives grad_t(t, y). Both may read buffers that the next call
+    overwrites, so each is to be used before the next call.
+    ``loss.bind(y)`` provides it where the loss has that method; otherwise
+    value and grad_t are called."""
     bind = getattr(loss, "bind", None)
     if bind is not None:
         return bind(y)
-    return lambda t: (loss.value(t, y), lambda: loss.grad_t(t, y))
+    return lambda t: (lambda: loss.value(t, y), lambda: loss.grad_t(t, y))
 
 
 def get_loss(name):

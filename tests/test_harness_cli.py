@@ -17,7 +17,7 @@ from nondecomp.dataset_io import (
     save_model,
     write_dataset,
 )
-from nondecomp.estimator import DenseModel
+from nondecomp.estimator import DenseModel, ObservationSet
 from nondecomp.harness import (
     cmd_compare,
     cmd_convergence,
@@ -171,20 +171,16 @@ class TestFitThresholdEval:
 
     def test_sentinel_fallback_lies_above_huge_scores(self):
         z = np.array([1e17, 0.0])  # 1e17 + 1.0 == 1e17
-        y = np.zeros(2, dtype=np.int8)
-        theta, result, degenerate = harness._tune_threshold(
-            get_metric("micro_f1"), z, y, np.zeros(2, dtype=int), np.arange(2)
-        )
+        obs = ObservationSet(1, 2, np.zeros(2, dtype=int), np.arange(2), np.zeros(2))
+        theta, result, degenerate = harness._tune_threshold(get_metric("micro_f1"), z, obs)
         assert degenerate and result.value == 0.0
         assert theta > z.max()
 
     def test_sentinel_fallback_rejects_scores_at_the_largest_float(self):
         z = np.array([np.finfo(float).max, 0.0])
-        y = np.zeros(2, dtype=np.int8)
+        obs = ObservationSet(1, 2, np.zeros(2, dtype=int), np.arange(2), np.zeros(2))
         with np.errstate(all="raise"), pytest.raises(ValueError, match="largest finite"):
-            harness._tune_threshold(
-                get_metric("micro_f1"), z, y, np.zeros(2, dtype=int), np.arange(2)
-            )
+            harness._tune_threshold(get_metric("micro_f1"), z, obs)
 
     def test_huge_lambda_yields_constant_predictor(self, tmp_path):
         cfg = small_cfg("fit", tmp_path, lambda_reg=50.0)
@@ -738,6 +734,7 @@ class TestCli:
         # fit names it first
         (["convergence", "--pu_rho=0.3", "--ratios=0.1,0.3"], "ratios"),
         (["rate_check", "--noise_model=bernoulli_logistic", "--pu_rho=0.3"], "pu_rho"),
+        (["eval", "--test_path=absent.txt"], "test_path"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         task, *overrides = ["fit", *overrides] if overrides[0].startswith("--") else overrides

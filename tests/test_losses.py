@@ -235,7 +235,7 @@ class TestLogisticEvaluation:
             # a first call at other scores must leave nothing behind
             evaluate(-t)
             values, grad = evaluate(t)
-            fused = (values.copy(), grad())
+            fused = (values().copy(), grad())
             plain = (loss.value(t, y), loss.grad_t(t, y))
         want = (separate_value(t, y), separate_grad_t(t, y))
         for got in (fused, plain):
@@ -256,7 +256,7 @@ class TestLogisticEvaluation:
         t, y = KERNEL_ARGS[9:], LABELS["mixed"][9:]
         for loss in (get_loss("squared"), PULossWrapper(LogisticLoss(), 0.3)):
             values, grad = evaluation(loss, y)(t)
-            assert np.array_equal(values, loss.value(t, y))
+            assert np.array_equal(values(), loss.value(t, y))
             assert np.array_equal(grad(), loss.grad_t(t, y))
 
     def test_subclass_redefining_value_takes_the_default(self):
@@ -267,7 +267,40 @@ class TestLogisticEvaluation:
         t, y = KERNEL_ARGS, LABELS["mixed"]
         assert Doubled.bind is None and LogisticLoss.bind is not None
         values, _ = evaluation(Doubled(), y)(t)
-        assert np.array_equal(values, 2.0 * separate_value(t, y))
+        assert np.array_equal(values(), 2.0 * separate_value(t, y))
+
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    def test_grad_before_values_gives_the_same_bits(self, labels):
+        t, y = KERNEL_ARGS, LABELS[labels]
+        evaluate = LogisticLoss().bind(y)
+        want = (separate_value(t, y), separate_grad_t(t, y))
+        with np.errstate(all="raise"):
+            values, grad = evaluate(t)
+            first = grad().copy()
+            got = (values(), first, grad())
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[1])
+
+    def test_scalar_score_with_array_labels(self):
+        loss, y = LogisticLoss(), LABELS["mixed"]
+        for t in (0.7, -30.0):
+            value, grad = loss.value(t, y), loss.grad_t(t, y)
+            assert value.shape == grad.shape == y.shape
+            assert np.array_equal(value, separate_value(np.full_like(y, t), y))
+            assert np.array_equal(grad, separate_grad_t(np.full_like(y, t), y))
+
+    def test_grad_t_and_sigmoid_form_no_value(self, monkeypatch):
+        t, y = KERNEL_ARGS, LABELS["mixed"]
+        want = (separate_grad_t(t, y), separate_grad_t(t, 0))
+
+        def no_value(*args, **kwargs):
+            raise AssertionError("the loss value was formed")
+
+        monkeypatch.setattr(np, "log1p", no_value)
+        got = (LogisticLoss().grad_t(t, y), sigmoid(t))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with pytest.raises(AssertionError, match="value was formed"):
+            LogisticLoss().value(t, y)
 
 
 class TestStableHelpers:
