@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import itemgetter
@@ -280,11 +279,8 @@ def _convert_block(rows):
 
 def _read_ints(text, sep):
     """The int64 tokens of the bytes ``text`` split at the one-character
-    ``sep``, or None unless each token is 1 to _MAX_DIGITS ASCII digits.
-
-    numpy 2 raises on text it cannot read to its end; older numpy warns and
-    returns what it read, so a warning is an error here and the count is
-    checked."""
+    ``sep``, or None unless each token is 1 to _MAX_DIGITS ASCII digits;
+    text that passes these checks is read to its end."""
     if not text:
         return np.zeros(0, dtype=np.int64)
     if text.translate(None, b"0123456789" + sep.encode()):
@@ -293,13 +289,7 @@ def _read_ints(text, sep):
     lengths = np.diff(np.concatenate(([-1], seps, [len(text)]))) - 1
     if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = np.fromstring(text, dtype=np.int64, sep=sep)
-    except (ValueError, Warning):
-        return None
-    return out if out.size == lengths.size else None
+    return np.fromstring(text, dtype=np.int64, sep=sep)
 
 
 def _parse_lines(body, n, d, L):
@@ -471,8 +461,8 @@ def load_model(stream):
         W, end = _read_matrix(lines, 3, tuple(sizes), "W")
         model = DenseModel(W=W, theta=theta)
     else:
-        if len(sizes) != 3:
-            raise ModelFormatError("line 2: factored model needs 'dims d L k'")
+        if len(sizes) != 3 or sizes[2] < 1:
+            raise ModelFormatError("line 2: factored model needs 'dims d L k' with k >= 1")
         d, L, k = sizes
         W1, nxt = _read_matrix(lines, 3, (d, k), "W1")
         W2, end = _read_matrix(lines, nxt, (L, k), "W2")

@@ -446,8 +446,6 @@ def _cg_solve(matvec, B, tol, max_iter=40):
     P = R.copy()
     rs = float(np.sum(R * R))
     b_norm = math.sqrt(float(np.sum(B * B)))
-    if b_norm == 0.0:
-        return S
     for _ in range(max_iter):
         HP = matvec(P)
         denom = float(np.sum(P * HP))

@@ -129,7 +129,17 @@ class Problem:
 
 
 def _synthetic_spec(cfg, seed):
+    """The spec every synthetic problem is generated from. Real-valued
+    (gaussian) labels feed only a fit with the gaussian loss by alt_min or
+    prox_grad without positive-unlabeled flipping; any other use exits 2
+    here, before anything is generated."""
     cfg.require_synthetic()
+    binary_uses = ((cfg.task, cfg.task != "fit"), ("solver = plugin", cfg.solver == "plugin"),
+                   (f"loss = {cfg.loss}", cfg.loss != "gaussian"),
+                   ("positive-unlabeled flipping", cfg.pu_rho > 0.0))
+    uses = [what for what, used in binary_uses if used]
+    if cfg.noise_model == "gaussian" and uses:
+        raise UsageError(f"{uses[0]} needs binary labels; the gaussian noise model is real-valued")
     return SyntheticSpec(
         n=cfg.n, L=cfg.L, d=cfg.d, rank=cfg.rank, seed=seed,
         noise_model=cfg.noise_model, theta_star=cfg.theta_star,
@@ -174,24 +184,16 @@ def _fresh_test_split(cfg, W_star, seed):
     return X_t, Y_t
 
 
-def _binary_required(Y, what):
-    if not np.all((Y == 0) | (Y == 1)):
-        raise UsageError(f"{what} needs binary labels; the gaussian noise model is real-valued")
-
-
 def _train_observations(cfg, prob, seed, ratio):
-    """Observed training entries at the given mask ratio, plus the loss to
-    fit them with; the positive-unlabeled regime observes every entry."""
-    Y, loss = prob.Y, get_loss(cfg.loss)
-    if cfg.solver == "plugin":
-        _binary_required(Y, "solver = plugin")
-    elif cfg.loss != "gaussian":
-        _binary_required(Y, f"loss = {cfg.loss}")
+    """The observed training entries at mask ratio ``ratio``, which must
+    observe one at least; the positive-unlabeled regime observes every entry."""
+    Y = prob.Y
     if cfg.pu_rho > 0.0:
-        _binary_required(prob.Y, "positive-unlabeled flipping")
-        Y, ratio = pu_flip(prob.Y, cfg.pu_rho, seed), 1.0
-        loss = PULossWrapper(loss, cfg.pu_rho)
-    return mask_observations(Y, ratio, OmegaDistribution.uniform(), seed), loss
+        Y, ratio = pu_flip(Y, cfg.pu_rho, seed), 1.0
+    n, L = Y.shape
+    if round(ratio * n * L) < 1:
+        raise UsageError(f"ratio = {ratio:g} observes no entry of the {n} x {L} label matrix")
+    return mask_observations(Y, ratio, OmegaDistribution.uniform(), seed)
 
 
 def _resolve_k(cfg, prob):
@@ -202,12 +204,16 @@ def _resolve_k(cfg, prob):
     return max(1, min(round(0.4 * prob.Y.shape[1]), prob.X.shape[1]))
 
 
-def _fit_solver(cfg, prob, obs, loss, seed, solver=None, regularizer_mode=None):
-    """Fit ``solver`` (cfg.solver by default) to the observed entries and
-    return (model, report). A fit that stopped because its objective fell
-    below 0 raises NumericalError: only a positive-unlabeled risk estimate
-    can run away so, and such a model is not to be saved or scored."""
+def _fit_solver(cfg, prob, obs, seed, solver=None, regularizer_mode=None):
+    """Fit ``solver`` (cfg.solver by default) with cfg.loss, corrected for
+    positive-unlabeled flipping when pu_rho > 0, and return (model,
+    report). A fit whose objective fell below 0 raises NumericalError: only
+    a positive-unlabeled risk estimate runs away so, and its model is not
+    to be saved or scored."""
     solver = solver or cfg.solver
+    loss = get_loss(cfg.loss)
+    if cfg.pu_rho > 0.0:
+        loss = PULossWrapper(loss, cfg.pu_rho)
     sconf = SolverConfig(
         loss=loss,
         lambda_reg=cfg.lambda_reg,
@@ -267,12 +273,12 @@ def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
     """One repeat of one method: fit it on the observed training entries,
     tune every metric's threshold on those entries, and score the
     evaluation entries. Returns the metric values by name."""
-    obs, loss = _train_observations(cfg, prob, seed, ratio)
+    obs = _train_observations(cfg, prob, seed, ratio)
     if method == "plugin":
         solver = "plugin"
     else:
         solver = cfg.solver if cfg.solver != "plugin" else "alt_min"
-    model, _ = _fit_solver(cfg, prob, obs, loss, seed, solver=solver)
+    model, _ = _fit_solver(cfg, prob, obs, seed, solver=solver)
     z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
     tuned = {name: (spec, _tune_threshold(spec, z_obs, obs)[0]) for name, spec in specs.items()}
     return {name: info.value for name, info in _evaluate(cfg, model, X_e, Y_e, tuned).items()}
@@ -354,8 +360,6 @@ def _mean_sd(values):
 def cmd_synth(cfg):
     """Generate a synthetic problem and export it in the dataset format."""
     spec = _synthetic_spec(cfg, cfg.seed)
-    if spec.noise_model == "gaussian":
-        raise UsageError("synth export needs a binary noise model")
     X, W_star, Y = generate_problem(spec)
     # every feature of every row, and each row's positive labels
     rows, labels = np.nonzero(Y == 1)
@@ -384,8 +388,8 @@ def cmd_fit(cfg):
     if os.path.isdir(path):
         raise UsageError(f"model_path {path!r} is a directory")
     prob = _load_problem(cfg, cfg.seed)
-    obs, loss = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
-    model, report = _fit_solver(cfg, prob, obs, loss, cfg.seed)
+    obs = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
+    model, report = _fit_solver(cfg, prob, obs, cfg.seed)
     trace_path = _out_path(cfg, "trace.csv")
     with open(path, "w") as fh:
         save_model(model, fh)
@@ -409,8 +413,7 @@ def cmd_threshold(cfg):
     except ValueError as exc:
         raise UsageError(f"metric: {exc}") from None
     prob = _load_problem(cfg, cfg.seed)
-    obs, _ = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
-    _binary_required(obs.values, "threshold tuning")
+    obs = _train_observations(cfg, prob, cfg.seed, cfg.ratio)
     model = _read_model(cfg, prob.X.shape[1], prob.Y.shape[1])
     z_obs = predict_scores(prob.X, model, cfg.gamma_clip)[obs.rows, obs.cols]
     theta, result, degenerate = _tune_threshold(spec, z_obs, obs)
@@ -444,7 +447,6 @@ def cmd_eval(cfg):
     model = _read_model(cfg, X_e.shape[1], Y_e.shape[1])
     if model.theta is None:
         raise UsageError("model has no fitted threshold; run the threshold task first")
-    _binary_required(Y_e, "evaluation")
     tuned = {name: (spec, model.theta) for name, spec in specs.items()}
     infos = _evaluate(cfg, model, X_e, Y_e, tuned)
     method = "plugin" if cfg.solver == "plugin" else "algorithm1"
@@ -461,8 +463,6 @@ def cmd_eval(cfg):
 def cmd_convergence(cfg):
     """Metric-versus-sampling-ratio experiment for both methods."""
     cfg.require_synthetic()
-    if cfg.noise_model == "gaussian":
-        raise UsageError("the convergence experiment needs a binary noise model")
     _distinct_values(cfg, "ratios")
     if cfg.pu_rho > 0.0 and len(cfg.ratios) > 1:
         raise UsageError("ratios must hold one value when pu_rho > 0, which observes every entry")
@@ -576,7 +576,7 @@ def cmd_rate_check(cfg):
         seed_r = cfg.seed + rep
         prob = problems[rep]
         obs = mask_observations(prob.Y, None, OmegaDistribution.uniform(), seed_r, m=m)
-        model, report = _fit_solver(cfg, prob, obs, get_loss(cfg.loss), seed_r, "prox_grad", mode)
+        model, report = _fit_solver(cfg, prob, obs, seed_r, "prox_grad", mode)
         return recovery_error(model.W, prob.W_star), report.stop_reason
 
     cells = product(("param_norm", "score_norm"), grid)

@@ -5,10 +5,11 @@ Losses take labels y in {0, 1} and map them internally to the +/-1
 convention their margin formulas are written in; the Gaussian likelihood
 loss is the exception and consumes real-valued labels directly.
 
-A loss is any object with a ``name`` and three methods the solvers call:
+A loss is any object with the three methods the solvers call:
 ``value(t, y)``, its derivative ``grad_t(t, y)`` in the score t, and its
 second derivative ``hess_t(t, y)`` (for the Newton steps). All are
-vectorized over numpy arrays and accept plain scalars.
+vectorized over numpy arrays and accept plain scalars. The four base
+losses also carry a ``name``, which only ``get_loss``'s registry reads.
 
 ``evaluation(loss, y)`` is the loss at labels fixed for a whole fit: a
 function of the scores t that returns two functions, ``values()`` giving
@@ -202,10 +203,6 @@ class PULossWrapper:
             raise ValueError("rho must lie in [0, 1)")
         self.base = base
         self.rho = float(rho)
-
-    @property
-    def name(self):
-        return f"pu[{self.base.name},rho={self.rho:g}]"
 
     def _combine(self, fn, t, y):
         y = np.asarray(y, dtype=float)

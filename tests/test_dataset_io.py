@@ -315,8 +315,10 @@ class TestModelRoundTrip:
         ("something-else dense\ndims 2 2\ntheta none\n",
          "line 1: bad header line 'something-else dense'"),
         ("nondecomp-model dense\nsize 2 2\ntheta none\n", "line 2: missing dims line"),
+        ("nondecomp-model factored\ndims 6 20 0\ntheta none\n" + "\n" * 26,
+         "line 2: factored model needs 'dims d L k' with k >= 1"),
     ], ids=["huge_rows", "huge_cols", "negative", "dense_trailing", "factored_trailing",
-            "empty", "no_dims", "no_theta", "bad_header", "dims_keyword"])
+            "empty", "no_dims", "no_theta", "bad_header", "dims_keyword", "zero_rank"])
     def test_body_checked_against_dims(self, text, message):
         with pytest.raises(ModelFormatError) as err:
             load_model(io.StringIO(text))

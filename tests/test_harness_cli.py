@@ -165,7 +165,7 @@ class TestFitThresholdEval:
 
         cfg_t = small_cfg("threshold", tmp_path, theta_star=1e9)
         prob = _load_problem(cfg_t, cfg_t.seed)
-        obs, _ = _train_observations(cfg_t, prob, cfg_t.seed, cfg_t.ratio)
+        obs = _train_observations(cfg_t, prob, cfg_t.seed, cfg_t.ratio)
         z = predict_scores(prob.X, model)[obs.rows, obs.cols]
         assert model.theta > z.max()
 
@@ -645,9 +645,14 @@ class TestCli:
         ("eval", "--metrics=micro_f1,f2", "metrics: unknown metric 'f2'"),
         ("convergence", "--ridge=nan", "ridge must be finite and nonnegative"),
         ("rate_check", "--omegas=100,200,400", "unknown config key 'omegas'"),
+        ("synth", "--noise_model=gaussian", "synth needs binary labels"),
+        ("threshold", "--noise_model=gaussian", "threshold needs binary labels"),
+        ("eval", "--noise_model=gaussian", "eval needs binary labels"),
+        ("convergence", "--noise_model=gaussian", "convergence needs binary labels"),
     ], ids=["synth", "fit", "eval", "compare",
             "eval_empty_metrics", "eval_repeated_metrics", "eval_unknown_metric",
-            "convergence_nan_ridge", "rate_check_omegas"])
+            "convergence_nan_ridge", "rate_check_omegas",
+            "synth_gaussian", "threshold_gaussian", "eval_gaussian", "convergence_gaussian"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, task, extra, message):
         # a thresholded model outside out_dir, so eval gets as far as it can
         with open(tmp_path / "model.txt", "w") as fh:
@@ -675,6 +680,20 @@ class TestCli:
         )
         assert not os.path.exists(tmp_path / "out")
 
+    def test_real_valued_labels_exit_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        def no_problem(*args):
+            raise AssertionError("problem generated")
+
+        monkeypatch.setattr(harness, "generate_problem", no_problem)
+        monkeypatch.setattr(harness, "gen_lowrank_W", no_problem)
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        for task, *extra in (["synth"], ["threshold"], ["eval"], ["convergence"],
+                             ["fit", "--loss=gaussian", "--pu_rho=0.3"]):
+            assert main([task, cfg, "--noise_model=gaussian", *extra]) == 2
+            error_line = capsys.readouterr().err.splitlines()[0]
+            assert error_line.endswith("needs binary labels; the gaussian noise model is real-valued")
+            assert not os.path.exists(tmp_path / "out")
+
     def test_real_valued_labels_fit_with_gaussian_loss(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
         assert main(["fit", cfg, "--noise_model=gaussian", "--loss=gaussian"]) == 0
@@ -689,6 +708,13 @@ class TestCli:
         assert main(["fit", cfg, "--k=none"]) == 0
         model = load_model(open(tmp_path / "out" / "model.txt"))
         assert model.W1.shape == (5, 5) and model.W2.shape == (30, 5)
+
+    def test_default_rank_of_a_synthetic_fit_is_its_rank(self, tmp_path):
+        # the dataset rule would give min(round(0.4 * 8), 4) = 3
+        cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
+        assert main(["fit", cfg, "--k=none"]) == 0
+        model = load_model(open(tmp_path / "out" / "model.txt"))
+        assert model.W1.shape == (4, 2) and model.W2.shape == (8, 2)
 
     def test_plugin_fit_reports_its_own_objective(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
@@ -730,11 +756,14 @@ class TestCli:
         (["--pu_rho=1"], "pu_rho"),
         (["--solver=foo"], "solver"),
         (["--n=abc"], "config key 'n'"),
+        (["--ratio=1e-9"], "ratio"),
         # experiment commands under PU; a case that runs a task other than
         # fit names it first
         (["convergence", "--pu_rho=0.3", "--ratios=0.1,0.3"], "ratios"),
         (["rate_check", "--noise_model=bernoulli_logistic", "--pu_rho=0.3"], "pu_rho"),
         (["eval", "--test_path=absent.txt"], "test_path"),
+        (["rate_check", "--noise_model=bernoulli_logistic", "--n=1", "--L=2", "--grid_points=3"],
+         "omega grid must lie in [1, 2]"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         task, *overrides = ["fit", *overrides] if overrides[0].startswith("--") else overrides
