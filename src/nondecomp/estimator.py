@@ -11,10 +11,10 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
   rank-k factorization at once, with the standard Frobenius surrogate of
   the nuclear penalty (the name is kept from alternating minimization),
   started at the spectral estimate of the observed labels. Each step
-  scatters its curvature into an n x L array and allocates one n x L
-  work buffer, so every CG matvec is a few small matrix products instead
-  of per-entry gathers; ``predict_scores``, ``grad_empirical``
-  and the plugin fit form n x L arrays anyway.
+  scatters its curvature into an n x L array, kept for the fit, and forms
+  the Gauss-Newton matrix from it once, by GEMMs, as a dk x dk block and
+  one k x (d + k) block per label. So a CG matvec costs
+  O((dk)^2 + L (d + k) k) and reads no n x L array.
 * ``fit_plugin_baseline`` -- independent per-label ridge-regularized
   logistic fits, the comparison method that ignores label correlations;
   each Newton step solves all of its per-label Hessian blocks at once.
@@ -51,6 +51,9 @@ __all__ = [
 
 # singular values below this fraction of the largest do not count toward rank
 _RANK_CUTOFF = 1e-8
+# rows per block of the per-row products that form alt_min's Gauss-Newton
+# matrix; a block's products fit in cache, and their memory does not grow with n
+_ROW_BLOCK = 256
 
 
 class NumericalError(RuntimeError):
@@ -440,7 +443,16 @@ def fit_prox_grad(X, obs, config):
 def _cg_solve(matvec, B, tol, max_iter=40):
     """Conjugate gradient for matvec(S) = B over matrices, stopped at a
     residual of tol * ||B||; returns the last iterate if curvature turns
-    nonpositive."""
+    nonpositive.
+
+    It runs on B scaled by 2^-e, where 2^e is the power of two just above
+    max |B| (``math.frexp``), and scales the solution back. The squared
+    norms and curvatures then stay finite however large B is, and as a
+    power-of-two scaling is exact and matvec is linear, every iterate is
+    the unscaled run's iterate times 2^-e, bit for bit.
+    """
+    e = math.frexp(float(np.max(np.abs(B))))[1]
+    B = np.ldexp(B, -e)
     S = np.zeros_like(B)
     R = B.copy()
     P = R.copy()
@@ -459,7 +471,7 @@ def _cg_solve(matvec, B, tol, max_iter=40):
             break
         P = R + (rs_new / rs) * P
         rs = rs_new
-    return S
+    return np.ldexp(S, e)
 
 
 def _newton_step(fval, linearize, gtol):
@@ -498,43 +510,79 @@ def _newton_step(fval, linearize, gtol):
 def _factored_objective(X, obs, loss, lam):
     """The alt_min objective sum(loss)/m + lam/2 * ||w||^2 over the packed
     factors w = [W1; W2], a (d + L) x k matrix, where the score of entry
-    (i, j) is (X @ W1)[i] . W2[j].
+    (i, j) is a_i . W2_j with a_i the rows of A = X W1.
 
     Returns fval(w) and gauss_newton(w). The latter gives the gradient
     J^T (loss' / m) + lam * w and the Gauss-Newton matvec
-    S -> J^T diag(max(loss'', 0) / m) J S + (lam + 1e-12) * S, where J is
-    the Jacobian of the m observed scores in w.
+    S -> J^T diag(h) J S + (lam + 1e-12) * S, where J is the Jacobian of
+    the m observed scores in w and h = max(loss'', 0) / m.
 
-    Each Gauss-Newton step scatters its per-entry weights into n x L arrays
-    that are zero off the observed entries, so J^T u for weights u on the
-    entries is [X^T (U W2); U^T (X W1)] for their n x L array U, and a
-    matvec is a few small GEMMs with no per-entry gathers. The step also
-    allocates one n x L buffer that every matvec of that step reuses, so
-    CG does not map and unmap a fresh n x L temporary per matvec.
+    A step scatters per-entry weights into an n x L array that is zero off
+    the observed entries, one array for the whole fit: first U for
+    loss' / m, so the gradient is [X^T (U W2); U^T A] + lam * w, then H for
+    h. Since J S = X (S1 W2^T + W1 S2^T), the Gauss-Newton matrix is fixed
+    by arrays that the step forms once, by GEMMs with H over blocks of rows:
+
+    * T_i = sum_j H_ij W2_j W2_j^T, one k x k matrix per row i;
+    * H11, the dk x dk block of W1, which maps S1 to sum_i x_i x_i^T S1 T_i;
+    * E_j = sum_i H_ij a_i [x_i; a_i]^T, one k x (d + k) block per label.
+
+    With C_j = E_j[:, :d]^T, a matvec is top = H11 S1 +
+    sum_j C_j S2_j W2_j^T and bottom_j = E_j [S1 W2_j; S2_j]. It costs
+    O((dk)^2 + L (d + k) k) and reads no n x L array; the step's set-up is
+    O(n L k (d + 2k) + n d^2 k^2) in BLAS-3.
     """
     d = X.shape[1]
     m = obs.size
     y = obs.values
+    # the observed entries are the same at every step, so one n x L array
+    # holds U and then H of each step, and its other entries stay zero
+    weights = np.zeros((obs.n, obs.L))
+    XT = np.ascontiguousarray(X.T)
+
+    def on_entries(values):
+        weights.ravel()[obs.flat] = values
+        return weights
 
     def fval(w):
         t = _gather((X @ w[:d]) @ w[d:].T, obs)
         return _empirical_risk(obs, t, loss) + 0.5 * lam * float(np.sum(w * w))
 
     def gauss_newton(w):
+        n, L, k = obs.n, obs.L, w.shape[1]
         A, W2 = X @ w[:d], w[d:]
         t = _gather(A @ W2.T, obs)
-        M = _on_entries(obs, np.asarray(loss.grad_t(t, y), dtype=float) / m)
-        G = np.vstack([X.T @ (M @ W2), M.T @ A]) + lam * w
+        U = on_entries(np.asarray(loss.grad_t(t, y), dtype=float) / m)
+        G = np.vstack([X.T @ (U @ W2), U.T @ A]) + lam * w
         # PU-corrected losses can have negative curvature; clipping keeps
         # the Gauss-Newton matrix positive definite for CG
-        Hd = _on_entries(obs, np.maximum(np.asarray(loss.hess_t(t, y), dtype=float), 0.0) / m)
-        buf = np.empty_like(Hd)
+        H = on_entries(np.maximum(np.asarray(loss.hess_t(t, y), dtype=float), 0.0) / m)
+        # H11 and E are sums over the rows i, taken _ROW_BLOCK rows at a time
+        # with the rows on the last axis, so each per-row product is one long
+        # broadcast and stays small whatever n. R holds H11 on the entries
+        # a <= b of the symmetric T_i, and H11's (b, a) blocks mirror them
+        a, b = np.triu_indices(k)
+        pairs = (W2[:, a] * W2[:, b]).T
+        AT = w[:d].T @ XT
+        XAT = np.vstack([XT, AT])
+        R = np.zeros((d * a.size, d))
+        E = np.zeros((k * (d + k), L))
+        for start in range(0, n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            T = pairs @ H[rows].T
+            R += (XT[:, None, rows] * T).reshape(R.shape[0], -1) @ X[rows]
+            E += (AT[:, None, rows] * XAT[:, rows]).reshape(E.shape[0], -1) @ H[rows]
+        H11 = np.empty((d, k, d, k))
+        H11[:, a, :, b] = H11[:, b, :, a] = R.reshape(d, -1, d).transpose(1, 2, 0)
+        H11 = H11.reshape(d * k, d * k)
+        E = np.ascontiguousarray(E.reshape(k, d + k, L).transpose(2, 0, 1))
+        damping = lam + 1e-12
 
         def matvec(S):
-            # J S on every entry is (X S1) W2^T + A S2^T, one GEMM into buf
-            np.matmul(np.hstack([X @ S[:d], A]), np.hstack([W2, S[d:]]).T, out=buf)
-            np.multiply(Hd, buf, out=buf)
-            return np.vstack([X.T @ (buf @ W2), buf.T @ A]) + (lam + 1e-12) * S
+            S1, S2 = S[:d], S[d:]
+            top = (H11 @ S1.ravel()).reshape(d, k) + np.einsum("jac,ja->cj", E[:, :, :d], S2) @ W2
+            bottom = np.einsum("jac,jc->ja", E, np.hstack([W2 @ S1.T, S2]))
+            return np.vstack([top, bottom]) + damping * S
 
         return G, matvec
 

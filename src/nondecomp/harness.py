@@ -129,10 +129,15 @@ class Problem:
 
 
 def _synthetic_spec(cfg, seed):
-    """The spec every synthetic problem is generated from. Real-valued
-    (gaussian) labels feed only a fit with the gaussian loss by alt_min or
-    prox_grad without positive-unlabeled flipping; any other use exits 2
-    here, before anything is generated."""
+    """The spec every synthetic problem is generated from. Two uses of it
+    exit 2 here, before anything is generated:
+
+    * real-valued (gaussian) labels feed only a fit with the gaussian loss
+      by alt_min or prox_grad without positive-unlabeled flipping;
+    * a score-norm fit (every rate_check fit, and prox_grad's with
+      regularizer_mode = score_norm) needs features of full column rank,
+      and generated n x d features have rank min(n, d), so it needs n >= d.
+    """
     cfg.require_synthetic()
     binary_uses = ((cfg.task, cfg.task != "fit"), ("solver = plugin", cfg.solver == "plugin"),
                    (f"loss = {cfg.loss}", cfg.loss != "gaussian"),
@@ -140,6 +145,15 @@ def _synthetic_spec(cfg, seed):
     uses = [what for what, used in binary_uses if used]
     if cfg.noise_model == "gaussian" and uses:
         raise UsageError(f"{uses[0]} needs binary labels; the gaussian noise model is real-valued")
+    score_norm_fit = cfg.task == "rate_check" or (
+        cfg.solver == "prox_grad" and cfg.regularizer_mode == "score_norm"
+        and (cfg.task == "fit" or (cfg.task == "convergence" and "algorithm1" in cfg.methods))
+    )
+    if score_norm_fit and cfg.n < cfg.d:
+        raise UsageError(
+            f"score-norm mode needs features of full column rank, and the generated "
+            f"features have rank n = {cfg.n} < d = {cfg.d}; set n >= d"
+        )
     return SyntheticSpec(
         n=cfg.n, L=cfg.L, d=cfg.d, rank=cfg.rank, seed=seed,
         noise_model=cfg.noise_model, theta_star=cfg.theta_star,

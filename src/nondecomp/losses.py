@@ -58,13 +58,28 @@ def _signed(y):
     return 2.0 * np.asarray(y, dtype=float) - 1.0
 
 
-def _bind(y):
+def _bind(y, once=False):
     """The logistic loss at labels y: a function of the scores t, of the
     shape of y, returning (values, grad). It forms x = -y~ t and
     e = exp(-|x|) into buffers that the next call overwrites; values() and
-    grad() read them, so both are valid until that call."""
+    grad() read them, so both are valid until that call.
+
+    With ``once`` a single call of values() or grad() reads the evaluation,
+    so it forms its result in x, with e as scratch. Otherwise values()
+    keeps its result and scratch arrays, allocated at its first call, for
+    every later call, and grad() shares the scratch.
+    """
     nys = -_signed(y)
-    x, e, vals, work = (np.empty(nys.shape) for _ in range(4))
+    x, e = np.empty(nys.shape), np.empty(nys.shape)
+    kept = []
+
+    def buffers():
+        # values()'s result and the scratch of values() and grad()
+        if once:
+            return x, e
+        if not kept:
+            kept.extend(np.empty(nys.shape) for _ in range(2))
+        return kept
 
     def evaluate(t):
         np.multiply(nys, t, out=x)
@@ -76,6 +91,7 @@ def _bind(y):
     def values():
         # log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), the formula
         # np.logaddexp(0, x) evaluates, without its general two-argument path
+        vals, work = buffers()
         np.maximum(x, 0.0, out=vals)
         with np.errstate(under="ignore"):
             np.log1p(e, out=work)
@@ -84,17 +100,19 @@ def _bind(y):
     def grad():
         # -y~ sigmoid(x); sigmoid(x) is 1 / (1 + e) for x >= 0 and e / (1 + e)
         # otherwise, one division of the chosen numerator. As 0 <= e <= 1
-        # that numerator is max(e, [x >= 0]), with no branch per entry
-        out = np.maximum(e, x >= 0, out=np.empty(nys.shape))
-        np.divide(out, np.add(1.0, e, out=work), out=out)
+        # that numerator is max(e, [x >= 0]), with no branch per entry; the
+        # mask is formed before the result is written, so that may be x
+        out = np.maximum(e, x >= 0, out=x if once else np.empty(nys.shape))
+        np.divide(out, np.add(1.0, e, out=buffers()[1]), out=out)
         return np.multiply(nys, out, out=out)
 
     return evaluate
 
 
 def _evaluated(t, y):
-    """``_bind`` at labels y broadcast against the scores t, evaluated at t."""
-    return _bind(np.broadcast_arrays(t, y)[1])(t)
+    """``_bind`` at labels y broadcast against the scores t, evaluated at t
+    for one call of values() or grad()."""
+    return _bind(np.broadcast_arrays(t, y)[1], once=True)(t)
 
 
 class LogisticLoss:

@@ -11,6 +11,7 @@ from nondecomp.estimator import (
     NumericalError,
     ObservationSet,
     SolverConfig,
+    _cg_solve,
     _factored_objective,
     _first_trial,
     _newton_step,
@@ -150,6 +151,32 @@ class TestDampedNewton:
         step = (w0 - w) / g0
         assert step[0] > 0.0 and step[0] == pytest.approx(step[1], rel=1e-12)
         assert f == fval(w) < fval(w0)
+
+
+class TestConjugateGradient:
+    @staticmethod
+    def operator(seed, lam):
+        # a positive definite operator on 6 x 2 matrices: M M^T + lam I
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(12, 12))
+        H = M @ M.T + lam * np.eye(12)
+        return lambda S: (H @ S.ravel()).reshape(S.shape), H, rng.normal(size=(6, 2))
+
+    @pytest.mark.parametrize("e", [-900, -60, -1, 1, 5, 333, 900])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # the solve is run on B scaled into [0.5, 1) by a power of two and
+        # scaled back, so a run on 2^e B is the run on B times 2^e, bit for
+        # bit; at 2^900 the unscaled squared norms would overflow
+        matvec, _, B = self.operator(61, 1.0)
+        S = _cg_solve(matvec, B, 1e-6)
+        assert np.array_equal(_cg_solve(matvec, np.ldexp(B, e), 1e-6), np.ldexp(S, e))
+
+    def test_huge_damping_solves_without_overflow(self):
+        # lam = 1e150 puts squared curvatures near 1e300 and beyond
+        matvec, H, B = self.operator(62, 1e150)
+        B = B * 1e150
+        S = _cg_solve(matvec, B, 1e-10)
+        np.testing.assert_allclose(H @ S.ravel(), B.ravel(), rtol=1e-9)
 
 
 class TestNonfiniteFeatures:
@@ -841,13 +868,22 @@ class TestFactoredObjective:
             S = rng.normal(size=w.shape)
             np.testing.assert_allclose(matvec(S).ravel(), M @ S.ravel(), rtol=1e-10, atol=1e-10)
 
+    # (n, d, L, k): n != L as before; rank one; d = k and d > L, where a
+    # product over the wrong one of two axes would still have a valid shape
+    @pytest.mark.parametrize("n, d, L, k", [(9, 3, 5, 2), (9, 3, 5, 1), (9, 2, 5, 2), (9, 6, 4, 2)])
     @pytest.mark.parametrize("name, loss", LOSSES)
-    def test_gapped_gauss_newton_matches_explicit_jacobian(self, name, loss):
-        # n != L, and the last row and the last column have no observed
-        # entry; matvecs of one step share a work buffer, so each returned
-        # product must still equal its oracle after later calls
+    def test_gapped_gauss_newton_matches_explicit_jacobian(self, name, loss, n, d, L, k,
+                                                           monkeypatch):
+        # the last row and the last column have no observed entry; each
+        # returned product must still equal its oracle after later calls,
+        # so no matvec may return an array that a later one overwrites.
+        # The operator is summed over rows in blocks of 4: two full blocks
+        # and a last one of one row
+        import nondecomp.estimator as estimator
+
+        monkeypatch.setattr(estimator, "_ROW_BLOCK", 4)
         rng = np.random.default_rng(54)
-        n, d, L, k, lam = 9, 3, 5, 2, 0.05
+        lam = 0.05
         X = rng.normal(size=(n, d))
         rows, cols = np.divmod(np.arange((n - 1) * (L - 1)), L - 1)
         keep = rng.random(rows.size) < 0.7

@@ -736,6 +736,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stop=rel_tol" in out and "converged=True" in out
 
+    def test_alt_min_fit_at_huge_lambda_reaches_zero(self, tmp_path, capsys):
+        # at lambda_reg = 1e150 the Newton system's squared norms would
+        # overflow; CG solves it scaled by a power of two, so the fit
+        # takes its steps to W = 0, where prox_grad ends too
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
+        assert main(["fit", str(cfg), "--lambda_reg=1e150", f"--out_dir={tmp_path}/out"]) == 0
+        out = capsys.readouterr().out
+        assert "converged=True" in out and "objective=0.693147 rank=0" in out
+        assert "iterations=0" not in out
+
     @pytest.mark.parametrize("overrides, key", [
         (["--lambda_reg=nan"], "lambda_reg"),
         (["--lambda_reg=inf"], "lambda_reg"),
@@ -764,6 +774,10 @@ class TestCli:
         (["eval", "--test_path=absent.txt"], "test_path"),
         (["rate_check", "--noise_model=bernoulli_logistic", "--n=1", "--L=2", "--grid_points=3"],
          "omega grid must lie in [1, 2]"),
+        # a score-norm fit needs features of full column rank, and generated
+        # features have rank min(n, d)
+        (["--n=3", "--solver=prox_grad", "--regularizer_mode=score_norm"], "n = 3 < d = 4"),
+        (["rate_check", "--noise_model=bernoulli_logistic", "--n=3"], "n = 3 < d = 4"),
     ])
     def test_bad_value_exits_2_before_fitting(self, tmp_path, capsys, overrides, key):
         task, *overrides = ["fit", *overrides] if overrides[0].startswith("--") else overrides

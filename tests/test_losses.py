@@ -302,6 +302,16 @@ class TestLogisticEvaluation:
         with pytest.raises(AssertionError, match="value was formed"):
             LogisticLoss().value(t, y)
 
+    def test_bound_values_reuse_their_buffer(self):
+        # prox_grad evaluates the loss at every trial; values() writes each
+        # result into the array its first call allocated
+        t, y = KERNEL_ARGS, LABELS["mixed"]
+        evaluate = LogisticLoss().bind(y)
+        first = evaluate(-t)[0]()
+        values, grad = evaluate(t)
+        assert values() is first and np.array_equal(first, separate_value(t, y))
+        assert np.array_equal(grad(), separate_grad_t(t, y))
+
 
 class TestStableHelpers:
     def test_sigmoid_extremes(self):
