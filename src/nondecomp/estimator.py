@@ -16,8 +16,14 @@ entries plus a nuclear-norm penalty on the parameter matrix. Solvers:
   one k x (d + k) block per label. So a CG matvec costs
   O((dk)^2 + L (d + k) k) and reads no n x L array.
 * ``fit_plugin_baseline`` -- independent per-label ridge-regularized
-  logistic fits, the comparison method that ignores label correlations;
-  each Newton step solves all of its per-label Hessian blocks at once.
+  logistic fits, the comparison method that ignores label correlations.
+  Each Newton step scatters its curvature into an n x L array, kept for
+  the fit, forms every per-label d x d Hessian block from it by GEMMs with
+  the products of feature pairs, and solves all the blocks at once.
+
+Every fitter scatters per-entry weights into one n x L array that it keeps
+for the fit (``_entry_writer``), and each solver that sums per-row products
+takes them ``_ROW_BLOCK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ __all__ = [
 # singular values below this fraction of the largest do not count toward rank
 _RANK_CUTOFF = 1e-8
 # rows per block of the per-row products that form alt_min's Gauss-Newton
-# matrix; a block's products fit in cache, and their memory does not grow with n
+# matrix and the plugin's Hessian blocks; a block's products fit in cache,
+# and their memory does not grow with n
 _ROW_BLOCK = 256
 
 
@@ -253,23 +260,26 @@ def objective(X, obs, W, config):
     return _empirical_risk(obs, _entry_scores(X, obs, W), config.loss) + lam * reg
 
 
-def _on_entries(obs, values):
-    """The n x L array holding values at the observed entries, zero elsewhere."""
-    M = np.zeros(obs.n * obs.L)
-    M[obs.flat] = values
-    return M.reshape(obs.n, obs.L)
+def _entry_writer(obs):
+    """A function on_entries(values) that writes values at the observed
+    entries of one n x L array and returns that array. The array is made
+    once, zero, and only its entries obs.flat are ever rewritten, so it is
+    zero elsewhere; each call overwrites what the last call returned."""
+    M = np.zeros((obs.n, obs.L))
+    flat = M.ravel()
 
+    def on_entries(values):
+        flat[obs.flat] = values
+        return M
 
-def _grad_from(X, obs, g):
-    """Gradient of the empirical risk in W, given the loss derivatives g in
-    the observed scores."""
-    return X.T @ _on_entries(obs, np.asarray(g, dtype=float) / obs.size)
+    return on_entries
 
 
 def grad_empirical(X, obs, W, loss):
     """Gradient of the empirical-risk term with respect to W (d x L)."""
     X, W = _check_shapes(X, obs, W)
-    return _grad_from(X, obs, loss.grad_t(_entry_scores(X, obs, W), obs.values))
+    g = np.asarray(loss.grad_t(_entry_scores(X, obs, W), obs.values), dtype=float)
+    return X.T @ _entry_writer(obs)(g / obs.size)
 
 
 def _svt(A, tau):
@@ -397,6 +407,7 @@ def fit_prox_grad(X, obs, config):
     W = np.zeros((X.shape[1], obs.L))
 
     evaluate = evaluation(config.loss, obs.values)
+    on_entries = _entry_writer(obs)
 
     def smooth_part(W):
         # the mean loss at W, and the derivatives at its observed scores,
@@ -412,7 +423,7 @@ def fit_prox_grad(X, obs, config):
 
     def prox_step(W, F):
         nonlocal f, grad, step, last
-        G = _grad_from(X, obs, grad())
+        G = X.T @ on_entries(np.asarray(grad(), dtype=float) / obs.size)
         if last is not None:
             step = _first_trial(W - last[0], G - last[1], step)
         last = W, G
@@ -535,14 +546,9 @@ def _factored_objective(X, obs, loss, lam):
     d = X.shape[1]
     m = obs.size
     y = obs.values
-    # the observed entries are the same at every step, so one n x L array
-    # holds U and then H of each step, and its other entries stay zero
-    weights = np.zeros((obs.n, obs.L))
+    # one n x L array holds U and then H of each step
+    on_entries = _entry_writer(obs)
     XT = np.ascontiguousarray(X.T)
-
-    def on_entries(values):
-        weights.ravel()[obs.flat] = values
-        return weights
 
     def fval(w):
         t = _gather((X @ w[:d]) @ w[d:].T, obs)
@@ -614,7 +620,7 @@ def _spectral_start(X, obs, loss, k, seed):
     h = np.asarray(loss.hess_t(zero, obs.values), dtype=float)
     target = np.divide(-g, h, out=np.zeros(obs.size), where=h > 0.0)
     p = obs.size / (obs.n * obs.L)
-    M = np.linalg.lstsq(X, _on_entries(obs, target / p), rcond=None)[0]
+    M = np.linalg.lstsq(X, _entry_writer(obs)(target / p), rcond=None)[0]
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     keep = s[:k] > _RANK_CUTOFF * s[0]
     root = np.sqrt(s[:k][keep])
@@ -688,18 +694,30 @@ def fit_plugin_baseline(X, obs, ridge):
     Hessian block per label, all in one stacked solve (``_solve_blocks``).
     Labels with no observations keep a zero column (score 0, probability
     one half). Returns (DenseModel, FitReport).
+
+    A step scatters per-entry weights into an n x L array that is zero off
+    the observed entries, one array for the whole fit: first U, the loss
+    derivatives over m_j, so the gradient is X^T U + ridge * W, then Hm,
+    the curvatures over m_j. The block of label j is H_j =
+    sum_i Hm_ij x_i x_i^T + (ridge + 1e-12) I. Its entries (a, b) with
+    a <= b are column j of P^T Hm, where row i of P holds the products
+    x_ia x_ib; P is formed and summed ``_ROW_BLOCK`` rows at a time, and
+    the entries (b, a) mirror them. A step's set-up costs
+    O(n L d (d + 1) / 2) in BLAS-3, whatever the observed fraction.
     """
     if not 0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and nonnegative")
     X = _check_X(X, obs)
+    n, d = X.shape
     loss = LogisticLoss()
     y = obs.values
     # each entry weighs 1 / m_j, for the m_j observed entries of its label
-    counts = np.bincount(obs.cols, minlength=obs.L)
-    weight = 1.0 / counts[obs.cols]
-    # the index arrays of each label's entries, in entry order
-    cols_idx = np.split(np.argsort(obs.cols, kind="stable"), np.cumsum(counts)[:-1])
-    eye = np.eye(X.shape[1])
+    weight = 1.0 / np.bincount(obs.cols, minlength=obs.L)[obs.cols]
+    # one n x L array holds the gradient weights and then Hm of each step
+    on_entries = _entry_writer(obs)
+    XT = np.ascontiguousarray(X.T)
+    a, b = np.triu_indices(d)
+    diag = np.arange(d)
 
     def fval(W):
         t = _entry_scores(X, obs, W)
@@ -707,19 +725,23 @@ def fit_plugin_baseline(X, obs, ridge):
 
     def linearize(W):
         t = _entry_scores(X, obs, W)
-        G = X.T @ _on_entries(obs, weight * loss.grad_t(t, y)) + ridge * W
+        G = X.T @ on_entries(weight * loss.grad_t(t, y)) + ridge * W
 
         def newton_direction(G):
-            h = weight * loss.hess_t(t, y)
-            H = np.empty((obs.L, X.shape[1], X.shape[1]))
-            for j, idx in enumerate(cols_idx):
-                A = X[obs.rows[idx]]
-                H[j] = (A * h[idx, None]).T @ A + (ridge + 1e-12) * eye
+            Hm = on_entries(weight * loss.hess_t(t, y))
+            # R = P^T Hm, with the rows on the last axis of each block of P
+            R = np.zeros((a.size, obs.L))
+            for start in range(0, n, _ROW_BLOCK):
+                rows = slice(start, start + _ROW_BLOCK)
+                R += (XT[a, rows] * XT[b, rows]) @ Hm[rows]
+            H = np.empty((obs.L, d, d))
+            H[:, a, b] = H[:, b, a] = R.T
+            H[:, diag, diag] += ridge + 1e-12
             return _solve_blocks(H, G)
 
         return G, newton_direction
 
-    W = np.zeros((X.shape[1], obs.L))
+    W = np.zeros((d, obs.L))
     step = _newton_step(fval, linearize, gtol=1e-10)
     W, trace, stop_reason = _descend(step, W, fval(W), max_iters=50, rel_tol=1e-14)
     return DenseModel(W=W), _report(trace, stop_reason, W)

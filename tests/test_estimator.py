@@ -494,6 +494,38 @@ class TestFitProxGrad:
         with pytest.raises(NumericalError, match="full column rank"):
             fit_prox_grad(X, obs, cfg)
 
+    @pytest.mark.parametrize("mode", ["param_norm", "score_norm"])
+    def test_kept_entry_array_matches_fresh_zeros(self, mode, monkeypatch):
+        # the fit rewrites only the observed entries of its one kept n x L
+        # array; on a gapped instance (last row and last column unobserved)
+        # it must give the bits of a fit that scatters into fresh zeros
+        import nondecomp.estimator as estimator
+
+        rng = np.random.default_rng(57)
+        n, d, L = 12, 4, 6
+        X = rng.normal(size=(n, d))
+        rows, cols = np.divmod(np.arange((n - 1) * (L - 1)), L - 1)
+        keep = rng.random(rows.size) < 0.6
+        keep[rows == 0] = keep[cols == 0] = True
+        obs = ObservationSet(n, L, rows[keep], cols[keep],
+                             rng.integers(0, 2, size=keep.sum()).astype(float))
+        cfg = SolverConfig(loss=get_loss("logistic"), lambda_reg=0.02,
+                           regularizer_mode=mode, rel_tol=1e-10)
+        model, report = fit_prox_grad(X, obs, cfg)
+
+        def fresh_writer(obs):
+            def on_entries(values):
+                M = np.zeros((obs.n, obs.L))
+                M.ravel()[obs.flat] = values
+                return M
+            return on_entries
+
+        monkeypatch.setattr(estimator, "_entry_writer", fresh_writer)
+        ref_model, ref_report = fit_prox_grad(X, obs, cfg)
+        assert report.iterations > 2
+        np.testing.assert_array_equal(model.W, ref_model.W)
+        assert report.objective_trace == ref_report.objective_trace
+
 
 class TestFirstTrial:
     # s and y are 1 x 2 matrices, as s_W and y are d x L ones in the fit
@@ -1000,6 +1032,47 @@ class TestPluginBaseline:
         np.testing.assert_array_equal(model.W, ref_model.W)
         assert report.objective_trace == ref_report.objective_trace
         assert np.all(np.isfinite(model.W))
+
+    def test_hessian_blocks_match_per_label_sums(self, monkeypatch):
+        # the blocks are summed over rows in blocks of 4: two full blocks and
+        # a last one of two rows. Label 0 sees every row, label 1 some,
+        # label 2 one entry (in the last block) and label 3 none. The blocks
+        # of the first two Newton steps are checked, so the kept n x L array
+        # has been rewritten once, against sums formed here entry by entry
+        import nondecomp.estimator as estimator
+
+        monkeypatch.setattr(estimator, "_ROW_BLOCK", 4)
+        rng = np.random.default_rng(24)
+        n, d, L, ridge = 10, 3, 4, 0.1
+        X = rng.normal(size=(n, d))
+        some = np.flatnonzero(rng.random(n) < 0.6)
+        rows = np.concatenate([np.arange(n), some, [9]])
+        cols = np.repeat([0, 1, 2], [n, some.size, 1])
+        obs = ObservationSet(n, L, rows, cols, rng.integers(0, 2, size=rows.size).astype(float))
+        scores, blocks = [], []
+
+        class Recording(LogisticLoss):
+            def hess_t(self, t, y):
+                scores.append(np.array(t))
+                return super().hess_t(t, y)
+
+        def recording_solve(H, G):
+            blocks.append(H.copy())
+            return _solve_blocks(H, G)
+
+        monkeypatch.setattr(estimator, "LogisticLoss", Recording)
+        monkeypatch.setattr(estimator, "_solve_blocks", recording_solve)
+        fit_plugin_baseline(X, obs, ridge=ridge)
+        assert len(blocks) >= 2 and len(scores) == len(blocks)
+        counts = np.bincount(obs.cols, minlength=L)
+        for t, H in zip(scores[:2], blocks[:2]):
+            h = LogisticLoss().hess_t(t, obs.values) / counts[obs.cols]
+            expect = np.repeat((ridge + 1e-12) * np.eye(d)[None], L, axis=0)
+            for e, (i, j) in enumerate(zip(obs.rows, obs.cols)):
+                expect[j] += h[e] * np.outer(X[i], X[i])
+            np.testing.assert_allclose(H, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+        # the unobserved label's block is the damping alone
+        np.testing.assert_array_equal(blocks[1][3], (ridge + 1e-12) * np.eye(d))
 
     def test_stacked_solve_matches_per_label_solves(self):
         rng = np.random.default_rng(23)
