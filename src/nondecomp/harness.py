@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -251,16 +252,12 @@ def _fit_solver(cfg, prob, obs, seed, solver=None, regularizer_mode=None):
     return model, report
 
 
-def _groups(spec, rows, cols):
-    """Group index of each entry for the metric's mode; None in micro mode."""
-    return {"micro": None, "instance": rows, "macro": cols}[spec.mode]
-
-
 def _tune_threshold(spec, z_obs, obs):
     """Sweep on the training entries ``obs``, scored z_obs; fall back to the
     all-negative sentinel when no thresholding achieves a positive value."""
     y_obs = obs.values.astype(np.int8)
-    result = threshold_sweep(z_obs, y_obs, spec, _groups(spec, obs.rows, obs.cols))
+    groups = {"micro": None, "instance": obs.rows, "macro": obs.cols}[spec.mode]
+    result = threshold_sweep(z_obs, y_obs, spec, groups)
     theta = result.theta_hat
     degenerate = result.value == 0.0
     if degenerate:
@@ -273,12 +270,18 @@ def _evaluate(cfg, model, X, Y, tuned):
     ``tuned``, which maps a metric name to its (spec, threshold)."""
     z = predict_scores(X, model, cfg.gamma_clip).ravel()
     y = Y.ravel()
-    rows, cols = np.divmod(np.arange(Y.size), Y.shape[1])
+    n, L = Y.shape
+    thresholded = cache(lambda theta: apply_threshold(z, theta))  # once per distinct threshold
     infos = {}
     for name, (spec, theta) in tuned.items():
-        yhat = apply_threshold(z, theta)
-        groups = _groups(spec, rows, cols)
-        conf = confusion_micro(yhat, y) if groups is None else confusion_grouped(yhat, y, groups)
+        yhat = thresholded(theta)
+        # an entry's row or column index is built only for a metric that groups by it
+        if spec.mode == "micro":
+            conf = confusion_micro(yhat, y)
+        elif spec.mode == "instance":
+            conf = confusion_grouped(yhat, y, np.repeat(np.arange(n), L))
+        else:
+            conf = confusion_grouped(yhat, y, np.tile(np.arange(L), n))
         infos[name] = eval_metric_info(spec, conf)
     return infos
 

@@ -7,6 +7,11 @@ confusion fractions: one slot per row (instance mode) or per column (macro
 mode), or a single slot over all entries (micro mode). A metric's value is
 the mean of its ratio over the slots. Everything here is a pure function of
 its inputs.
+
+Group ids are row or column indices: nonnegative integers, anything else
+is rejected with ``ValueError``. They are ranked by counting, with one
+counter per id up to the largest, so grouping m entries with ids below G
+costs O(m + G) and sorts nothing.
 """
 
 from __future__ import annotations
@@ -173,10 +178,30 @@ def confusion_micro(yhat, y):
 def confusion_grouped(yhat, y, group_index):
     """Confusion fractions per group (rows for instance mode, columns for macro).
 
-    ``group_index`` holds the group id of each observed entry. Returns a
-    Confusion with one slot per non-empty group, in ascending group-id order.
+    ``group_index`` holds the group id of each observed entry, a nonnegative
+    integer (its row or column index); other ids raise ValueError. The ids
+    are ranked by counting, which holds one counter per id up to the
+    largest, so this costs O(m + G) for m entries with ids below G. Returns
+    a Confusion with one slot per non-empty group, in ascending group-id
+    order.
     """
     return _confusion(yhat, y, group_index)
+
+
+def _rank_ids(gi):
+    """``np.unique(gi, return_inverse=True)`` for group ids that are
+    nonnegative integers, by counting: one counter per id up to the largest,
+    O(m + G) for m entries with ids below G."""
+    dtype = gi.dtype
+    if dtype.kind not in "iu" or gi.min() < 0:
+        raise ValueError("group ids must be nonnegative integers (row or column indices)")
+    if not np.can_cast(dtype, np.intp):
+        gi = gi.astype(np.intp)  # uint64, which bincount does not take
+    counts = np.bincount(gi)
+    ids = np.flatnonzero(counts).astype(dtype, copy=False)
+    if ids.size == counts.size:  # no id below the largest is missing
+        return ids, gi
+    return ids, (np.cumsum(counts > 0) - 1)[gi]
 
 
 def _confusion(yhat, y, group_index):
@@ -190,7 +215,7 @@ def _confusion(yhat, y, group_index):
         gi = np.asarray(group_index)
         if gi.shape != y.shape:
             raise ValueError("group index must align with predictions and labels")
-        gids, inv = np.unique(gi, return_inverse=True)
+        gids, inv = _rank_ids(gi)
     ngrp = 1 if gids is None else len(gids)
     # each entry's outcome 2 * yhat + y, counted per group: tn, fn, fp, tp
     tn, fn, fp, tp = np.bincount(4 * inv + 2 * yhat + y, minlength=4 * ngrp).reshape(ngrp, 4).T
@@ -251,7 +276,10 @@ def threshold_sweep(z, y, spec, group_index=None):
     recomputed exactly, with the arithmetic of ``eval_metric_info``, at
     O(G log m) each for G groups (a run of candidates that changes no
     group's ratio is recomputed once). Both cost O(m log m) for m observed
-    entries, plus the rechecks.
+    entries, plus the rechecks. ``group_index`` follows the rule of
+    ``confusion_grouped``: nonnegative integer ids, ranked by counting,
+    which holds one counter per id up to the largest and costs O(m) plus
+    the largest id.
 
     The largest exact value wins; ties go to the smallest threshold, i.e.
     the most-positive labeling among the maximizers. So ``value`` equals
@@ -278,7 +306,7 @@ def threshold_sweep(z, y, spec, group_index=None):
     if spec.mode == "micro":
         k, best = _sweep_micro(spec, inv, y == 1, n_distinct)
     else:
-        ginv = np.unique(group_index, return_inverse=True)[1]
+        ginv = _rank_ids(group_index)[1]
         k, best = _sweep_grouped(spec, inv, y == 1, ginv, n_distinct)
     theta = float(vals_asc[k]) if k < n_distinct else sentinel
     return ThresholdResult(theta_hat=theta, value=best, candidates_evaluated=n_distinct + 1)

@@ -272,6 +272,15 @@ class TestModelRoundTrip:
             "1.5\n-2\n0.5\n1e-300\n-7\n"
         )
 
+    def test_values_written_as_numpy_scalars_format(self):
+        # the text of each value is the 17-digit form of the numpy scalar
+        W = np.array([[-0.0, 5e-324, 2.2250738585072014e-308], [1.7976931348623157e308, 0.1, 1 / 3]])
+        buf = io.StringIO()
+        save_model(DenseModel(W=W), buf)
+        body = buf.getvalue().split("\n")[3:-1]
+        assert body == [" ".join(f"{v:.17g}" for v in row) for row in W]
+        assert body[0].split()[0] == "-0"
+
     def test_corrupted_header(self):
         with pytest.raises(ModelFormatError, match="header"):
             load_model(io.StringIO("something-else dense\ndims 2 2\ntheta none\n"))

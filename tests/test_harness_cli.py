@@ -1,6 +1,7 @@
 import os
 import pathlib
 import time
+import tracemalloc
 from dataclasses import fields
 from itertools import product
 
@@ -27,7 +28,13 @@ from nondecomp.harness import (
     cmd_synth,
     cmd_threshold,
 )
-from nondecomp.metrics import get_metric, threshold_sweep
+from nondecomp.metrics import (
+    confusion_grouped,
+    confusion_micro,
+    eval_metric_info,
+    get_metric,
+    threshold_sweep,
+)
 from nondecomp.sampler import SyntheticSpec, gen_lowrank_W, generate_problem
 
 
@@ -205,6 +212,68 @@ class TestFitThresholdEval:
         assert out["report"].converged
         model = load_model(open(out["model_path"]))
         assert np.all(np.isfinite(model.W))
+
+
+def eval_problem(n, L, seed=0):
+    """Features, labels and a dense model; the first two labels are never
+    positive and score 0, so at a positive threshold their columns are
+    degenerate."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 6))
+    Y = (rng.random((n, L)) < 0.3).astype(np.int8)
+    W = rng.normal(size=(6, L))
+    Y[:, :2] = 0
+    W[:, :2] = 0.0
+    return X, Y, DenseModel(W=W)
+
+
+class TestEvaluate:
+    def test_equals_scoring_each_metric_on_divmod_indices(self, tmp_path):
+        X, Y, model = eval_problem(60, 9)
+        cfg = small_cfg("eval", tmp_path)
+        lo, hi = -0.4, 0.7
+        tuned = {
+            "macro_f1": (get_metric("macro_f1"), hi),
+            "micro_f1": (get_metric("micro_f1"), lo),
+            "instance_f1": (get_metric("instance_f1"), hi),
+            "accuracy": (get_metric("accuracy"), hi),
+            "jaccard": (get_metric("jaccard"), lo),
+        }
+        z = (X @ model.W).ravel()
+        y = Y.ravel()
+        rows, cols = np.divmod(np.arange(Y.size), Y.shape[1])
+        want = {}
+        for name, (spec, theta) in tuned.items():
+            yhat = (z >= theta).astype(np.int8)
+            groups = {"micro": None, "instance": rows, "macro": cols}[spec.mode]
+            conf = confusion_micro(yhat, y) if groups is None else confusion_grouped(yhat, y, groups)
+            want[name] = eval_metric_info(spec, conf)
+        got = harness._evaluate(cfg, model, X, Y, tuned)
+        assert list(got.items()) == list(want.items())
+        assert got["macro_f1"].degenerate_groups > 0
+
+    @pytest.mark.parametrize(
+        "names, per_entry",
+        [
+            (("macro_f1", "instance_f1", "micro_f1"), 40),
+            (("micro_f1",), 24),
+            (("macro_f1",), 32),
+        ],
+    )
+    def test_peak_memory_per_entry(self, tmp_path, names, per_entry):
+        # scores (8 bytes an entry), the row or the column index of a metric
+        # that groups by it (8), and the counting's work array (8)
+        X, Y, model = eval_problem(2000, 200)
+        cfg = small_cfg("eval", tmp_path)
+        tuned = {name: (get_metric(name), 0.1) for name in names}
+        harness._evaluate(cfg, model, X, Y, tuned)
+        tracemalloc.start()
+        try:
+            harness._evaluate(cfg, model, X, Y, tuned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_entry * Y.size
 
 
 class TestSynthCompare:

@@ -150,6 +150,65 @@ class TestConfusionGrouped:
         assert list(grouped.count) == [2, 1]
 
 
+def reference_grouped(yhat, y, group_index):
+    """Confusion per group, ranked by np.unique and counted entry by entry."""
+    ids, inv = np.unique(group_index, return_inverse=True)
+    counts = np.zeros((len(ids), 4), dtype=np.int64)  # tn, fn, fp, tp
+    for g, a, b in zip(inv, yhat, y):
+        counts[g, 2 * a + b] += 1
+    tn, fn, fp, tp = counts.T
+    total = tp + fp + fn + tn
+    return Confusion(tp / total, fp / total, fn / total, tn / total, total, ids)
+
+
+GROUP_ID_CASES = {
+    "gaps_repeats_unsorted": np.array([7, 2, 7, 11, 2, 40, 11, 7, 0, 40]),
+    "no_gaps_unsorted": np.array([3, 0, 2, 1, 3, 0, 1, 2, 2]),
+    "one_group": np.full(5, 6),
+    "one_entry": np.array([13]),
+    "int32_gaps": np.array([9, 4, 4, 30, 9], dtype=np.int32),
+    "uint8_gaps": np.array([1, 200, 1, 77], dtype=np.uint8),
+}
+
+
+class TestGroupIds:
+    """Group ids are nonnegative integers, ranked by counting into one
+    counter per id up to the largest."""
+
+    @pytest.mark.parametrize("case", sorted(GROUP_ID_CASES))
+    def test_ranks_match_np_unique(self, case):
+        gi = GROUP_ID_CASES[case]
+        rng = np.random.default_rng(len(gi))
+        y = rng.integers(0, 2, size=gi.size).astype(np.int8)
+        yhat = rng.integers(0, 2, size=gi.size).astype(np.int8)
+        got = confusion_grouped(yhat, y, gi)
+        want = reference_grouped(yhat, y, gi)
+        for field in ("tp", "fp", "fn", "tn", "count", "group_ids"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("spec", [INST_F1, MACRO_F1])
+    def test_sweep_on_gapped_ids_equals_sweep_on_relabelled_ids(self, spec):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = int(rng.integers(2, 60))
+            z = np.round(rng.normal(size=m), 2)
+            y = rng.integers(0, 2, size=m)
+            gapped = rng.choice(np.array([3, 8, 9, 21, 50]), size=m)
+            relabelled = np.unique(gapped, return_inverse=True)[1]
+            assert threshold_sweep(z, y, spec, gapped) == threshold_sweep(z, y, spec, relabelled)
+
+    @pytest.mark.parametrize(
+        "ids", [np.array([0, -1, 2]), np.array([0.0, 1.0, 2.0]), np.array([True, False, True])]
+    )
+    def test_ids_other_than_nonnegative_integers_rejected(self, ids):
+        y = np.array([1, 0, 1])
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            confusion_grouped(y, y, ids)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            threshold_sweep(np.array([0.5, -1.0, 2.0]), y, MACRO_F1, ids)
+
+
 class TestEvalMetric:
     def test_perfect_f1(self):
         conf = micro_conf(tp=0.5, fp=0.0, fn=0.0, tn=0.5, count=10)
