@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 import numpy as np
@@ -252,11 +251,18 @@ def _fit_solver(cfg, prob, obs, seed, solver=None, regularizer_mode=None):
     return model, report
 
 
+def _group_axis(spec):
+    """Axis of the label matrix whose index groups the metric's entries:
+    0 (rows) in instance mode, 1 (columns) in macro mode, None in micro."""
+    return {"micro": None, "instance": 0, "macro": 1}[spec.mode]
+
+
 def _tune_threshold(spec, z_obs, obs):
     """Sweep on the training entries ``obs``, scored z_obs; fall back to the
     all-negative sentinel when no thresholding achieves a positive value."""
     y_obs = obs.values.astype(np.int8)
-    groups = {"micro": None, "instance": obs.rows, "macro": obs.cols}[spec.mode]
+    axis = _group_axis(spec)
+    groups = None if axis is None else (obs.rows, obs.cols)[axis]
     result = threshold_sweep(z_obs, y_obs, spec, groups)
     theta = result.theta_hat
     degenerate = result.value == 0.0
@@ -270,18 +276,18 @@ def _evaluate(cfg, model, X, Y, tuned):
     ``tuned``, which maps a metric name to its (spec, threshold)."""
     z = predict_scores(X, model, cfg.gamma_clip).ravel()
     y = Y.ravel()
-    n, L = Y.shape
-    thresholded = cache(lambda theta: apply_threshold(z, theta))  # once per distinct threshold
+    theta_done = None
     infos = {}
     for name, (spec, theta) in tuned.items():
-        yhat = thresholded(theta)
-        # an entry's row or column index is built only for a metric that groups by it
-        if spec.mode == "micro":
+        if theta != theta_done:  # metrics sharing a threshold share its predictions
+            yhat, theta_done = apply_threshold(z, theta), theta
+        axis = _group_axis(spec)
+        if axis is None:
             conf = confusion_micro(yhat, y)
-        elif spec.mode == "instance":
-            conf = confusion_grouped(yhat, y, np.repeat(np.arange(n), L))
         else:
-            conf = confusion_grouped(yhat, y, np.tile(np.arange(L), n))
+            # each entry's row or column index, built only for a metric that groups by it
+            index = np.broadcast_to(np.indices(Y.shape, sparse=True)[axis], Y.shape).ravel()
+            conf = confusion_grouped(yhat, y, index)
         infos[name] = eval_metric_info(spec, conf)
     return infos
 

@@ -200,7 +200,7 @@ def _rank_ids(gi):
     counts = np.bincount(gi)
     ids = np.flatnonzero(counts).astype(dtype, copy=False)
     if ids.size == counts.size:  # no id below the largest is missing
-        return ids, gi
+        return ids, gi.astype(np.intp, copy=False)  # np.unique's inverse dtype
     return ids, (np.cumsum(counts > 0) - 1)[gi]
 
 

@@ -29,6 +29,7 @@ from nondecomp.harness import (
     cmd_threshold,
 )
 from nondecomp.metrics import (
+    METRIC_REGISTRY,
     confusion_grouped,
     confusion_micro,
     eval_metric_info,
@@ -227,6 +228,20 @@ def eval_problem(n, L, seed=0):
     return X, Y, DenseModel(W=W)
 
 
+def peak_per_entry(tmp_path, tuned):
+    """Traced peak bytes of one _evaluate on a 2000 x 200 label matrix, per entry."""
+    X, Y, model = eval_problem(2000, 200)
+    cfg = small_cfg("eval", tmp_path)
+    harness._evaluate(cfg, model, X, Y, tuned)
+    tracemalloc.start()
+    try:
+        harness._evaluate(cfg, model, X, Y, tuned)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / Y.size
+
+
 class TestEvaluate:
     def test_equals_scoring_each_metric_on_divmod_indices(self, tmp_path):
         X, Y, model = eval_problem(60, 9)
@@ -263,17 +278,13 @@ class TestEvaluate:
     def test_peak_memory_per_entry(self, tmp_path, names, per_entry):
         # scores (8 bytes an entry), the row or the column index of a metric
         # that groups by it (8), and the counting's work array (8)
-        X, Y, model = eval_problem(2000, 200)
-        cfg = small_cfg("eval", tmp_path)
         tuned = {name: (get_metric(name), 0.1) for name in names}
-        harness._evaluate(cfg, model, X, Y, tuned)
-        tracemalloc.start()
-        try:
-            harness._evaluate(cfg, model, X, Y, tuned)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= per_entry * Y.size
+        assert peak_per_entry(tmp_path, tuned) <= per_entry
+
+    def test_peak_memory_with_a_threshold_per_metric(self, tmp_path):
+        # as above, with one prediction array (1 byte an entry) held at a time
+        tuned = {name: (get_metric(name), 0.1 * i) for i, name in enumerate(sorted(METRIC_REGISTRY))}
+        assert peak_per_entry(tmp_path, tuned) <= 28
 
 
 class TestSynthCompare:

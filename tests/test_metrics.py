@@ -7,6 +7,7 @@ from nondecomp.metrics import (
     METRIC_REGISTRY,
     Confusion,
     MetricSpec,
+    _rank_ids,
     apply_threshold,
     confusion_grouped,
     confusion_micro,
@@ -168,6 +169,12 @@ GROUP_ID_CASES = {
     "one_entry": np.array([13]),
     "int32_gaps": np.array([9, 4, 4, 30, 9], dtype=np.int32),
     "uint8_gaps": np.array([1, 200, 1, 77], dtype=np.uint8),
+    # no gaps in small dtypes, where 4 * id wraps unless ranks are widened
+    "uint8_no_gaps": np.arange(100, dtype=np.uint8)[::-1],
+    "int8_no_gaps": np.arange(100, dtype=np.int8),
+    "int16_no_gaps": np.arange(9000, dtype=np.int16),
+    "uint16_no_gaps": np.arange(17000, dtype=np.uint16)[::-1],
+    "uint64_gaps": np.array([5, 0, 5, 9], dtype=np.uint64),
 }
 
 
@@ -186,6 +193,13 @@ class TestGroupIds:
         for field in ("tp", "fp", "fn", "tn", "count", "group_ids"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("case", sorted(GROUP_ID_CASES))
+    def test_rank_ids_is_np_unique(self, case):
+        gi = GROUP_ID_CASES[case]
+        got, want = _rank_ids(gi), np.unique(gi, return_inverse=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("spec", [INST_F1, MACRO_F1])
     def test_sweep_on_gapped_ids_equals_sweep_on_relabelled_ids(self, spec):
