@@ -9,7 +9,9 @@ joined text, and checked as arrays. Any other file (non-ASCII digits,
 the line-by-line checker, which names the first bad line.
 ``write_dataset`` refuses a dataset whose text ``parse_dataset`` would
 reject, so parse(write(ds)) always gives ds back, and its text is always
-in the plain spelling.
+in the plain spelling. ``write_parsed`` and ``read_parsed`` keep a parsed
+dataset's arrays in a sidecar file keyed by the SHA-256 of its text, so a
+later read of the same bytes skips the parse.
 
 Everything written here is byte-deterministic for fixed inputs: floats are
 formatted with round-tripping precision and no timestamps or environment
@@ -18,7 +20,10 @@ details leak into the output.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -38,6 +43,9 @@ __all__ = [
     "ModelFormatError",
     "parse_dataset",
     "write_dataset",
+    "text_key",
+    "write_parsed",
+    "read_parsed",
     "mask_observations",
     "save_model",
     "load_model",
@@ -358,6 +366,71 @@ def write_dataset(dataset, stream):
                                           pairwise(label_indptr[start:stop + 1]))
         ]
         stream.write("\n".join(lines) + "\n")
+
+
+# A sidecar is one header line, "nondecomp-parsed <version> <key> <digest>",
+# with the SHA-256 of the payload as the digest, then the payload: n d L and
+# the CSR arrays, each as numpy writes an .npy file, in this order and dtype
+_PARSED_FORMAT = b"nondecomp-parsed 1"
+_PARSED_DTYPES = tuple(map(np.dtype, (np.int64, np.int64, np.int64, float, np.int64, np.int64)))
+
+
+def text_key(data, encoding):
+    """Key of a dataset file's bytes ``data`` read in ``encoding``: the
+    SHA-256 of the bytes, and the codec, which decides what they parse to."""
+    return f"{hashlib.sha256(data).hexdigest()}:{codecs.lookup(encoding).name}"
+
+
+def _parsed_head(key, payload):
+    digest = hashlib.sha256(payload).hexdigest()
+    return b" ".join((_PARSED_FORMAT, key.encode("ascii"), digest.encode("ascii")))
+
+
+def write_parsed(dataset, key, stream):
+    """Write the sidecar of ``dataset``, parsed from the text keyed
+    ``key``, to the binary ``stream``; the bytes depend on nothing else."""
+    payload = io.BytesIO()
+    arrays = ([dataset.n, dataset.d, dataset.L], dataset.indptr, dataset.indices,
+              dataset.values, dataset.label_indptr, dataset.label_indices)
+    for a, dtype in zip(arrays, _PARSED_DTYPES):
+        np.lib.format.write_array(payload, np.asarray(a, dtype=dtype), version=(1, 0),
+                                   allow_pickle=False)
+    payload = payload.getvalue()
+    stream.write(_parsed_head(key, payload) + b"\n")
+    stream.write(payload)
+
+
+def read_parsed(data, key):
+    """The dataset that the sidecar bytes ``data`` hold for the text keyed
+    ``key``, or None unless they are a whole sidecar of this format and
+    version, for that key, whose payload matches its digest and holds
+    arrays that parse_dataset could have returned."""
+    end = data.find(b"\n") + 1
+    if not end or data[:end - 1] != _parsed_head(key, memoryview(data)[end:]):
+        return None
+    stream = io.BytesIO(data)  # shares the bytes of ``data``; no copy
+    stream.seek(end)
+    try:
+        arrays = [np.lib.format.read_array(stream, allow_pickle=False) for _ in _PARSED_DTYPES]
+    except (ValueError, EOFError, MemoryError):
+        return None
+    if (stream.read(1) or [a.dtype for a in arrays] != list(_PARSED_DTYPES)
+            or any(a.ndim != 1 for a in arrays) or arrays[0].size != 3):
+        return None
+    (n, d, L), indptr, indices, values, label_indptr, label_indices = arrays
+    if (n < 0 or d < 1 or L < 1 or values.size != indices.size
+            or not _points_into(indptr, indices.size)
+            or not _points_into(label_indptr, label_indices.size)):
+        return None
+    ds = SparseDataset.from_arrays(int(n), int(d), int(L), *arrays[1:])
+    return ds if _fault(ds) is None else None
+
+
+def _points_into(indptr, size):
+    """Whether ``indptr`` holds row pointers into ``size`` entries: from 0
+    to ``size``, never falling."""
+    return (indptr.size > 0 and indptr[0] == 0 and indptr[-1] == size
+            and bool(np.all(indptr[1:] >= indptr[:-1])))
 
 
 def mask_observations(Y, ratio, dist, seed, m=None):

@@ -11,7 +11,11 @@ file contents.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import stat
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -30,8 +34,11 @@ from .dataset_io import (
     load_model,
     mask_observations,
     parse_dataset,
+    read_parsed,
     save_model,
+    text_key,
     write_dataset,
+    write_parsed,
     write_results_csv,
 )
 from .estimator import (
@@ -161,10 +168,59 @@ def _synthetic_spec(cfg, seed):
     )
 
 
+# a dataset file's parsed arrays are kept beside it, in the file of the same
+# name with this suffix, for the next command that reads the same bytes
+_PARSED_SUFFIX = ".parsed"
+
+
+def _parse_dataset_file(fh):
+    """The dataset of the open file ``fh``: from the sidecar beside it when
+    that holds the arrays of these exact bytes, else parse_dataset of the
+    bytes, decoded as ``fh`` decodes them. A parse rewrites the sidecar of
+    a regular file where the directory lets it."""
+    data = fh.buffer.read()
+    key = text_key(data, fh.encoding)
+    mode = os.fstat(fh.fileno()).st_mode
+    sidecar = fh.name + _PARSED_SUFFIX if stat.S_ISREG(mode) else None
+    ds = None
+    if sidecar is not None:
+        try:
+            with open(sidecar, "rb") as kept:
+                stored = kept.read()
+        except OSError:
+            stored = b""
+        ds = read_parsed(stored, key)
+    if ds is None:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding=fh.encoding, errors=fh.errors)
+        ds = parse_dataset(text)
+        if sidecar is not None:
+            _keep_parsed(sidecar, ds, key, mode)
+    return ds
+
+
+def _keep_parsed(path, ds, key, mode):
+    """Write the sidecar ``path`` of ``ds`` through a temporary file beside
+    it, with the read and write permissions ``mode`` of its text; where no
+    file can be written, none is left."""
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
+                                   dir=os.path.dirname(path) or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as out:
+            write_parsed(ds, key, out)
+        os.chmod(tmp, stat.S_IMODE(mode) & 0o666)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
 def _read_dataset(path):
     """Dense features and labels of a dataset file; a header whose shapes
     cannot be allocated is a format error of line 1."""
-    ds = read_input(path, "dataset", parse_dataset, DatasetFormatError)
+    ds = read_input(path, "dataset", _parse_dataset_file, DatasetFormatError)
     try:
         return ds.to_dense_X(), ds.label_matrix()
     except (MemoryError, ValueError) as exc:
@@ -221,9 +277,11 @@ def _resolve_k(cfg, prob):
 def _fit_solver(cfg, prob, obs, seed, solver=None, regularizer_mode=None):
     """Fit ``solver`` (cfg.solver by default) with cfg.loss, corrected for
     positive-unlabeled flipping when pu_rho > 0, and return (model,
-    report). A fit whose objective fell below 0 raises NumericalError: only
-    a positive-unlabeled risk estimate runs away so, and its model is not
-    to be saved or scored."""
+    report). Two fits raise NumericalError, for their models are not to be
+    saved or scored: one whose objective fell below 0, as only a
+    positive-unlabeled risk estimate runs away, and one whose line search
+    failed at its first step, which left the start unchanged; features on
+    a scale far from 1 do that, so the error names the largest."""
     solver = solver or cfg.solver
     loss = get_loss(cfg.loss)
     if cfg.pu_rho > 0.0:
@@ -247,6 +305,11 @@ def _fit_solver(cfg, prob, obs, seed, solver=None, regularizer_mode=None):
         raise NumericalError(
             f"objective {report.objective_trace[-1]:.6g} < 0 at iteration {report.iterations}: "
             "the positive-unlabeled risk estimate overfits; raise lambda_reg"
+        )
+    if report.stop_reason == "line_search" and report.iterations == 0:
+        raise NumericalError(
+            f"{solver} took no step from its start: its line search failed at iteration 0; "
+            f"the largest |feature| is {np.abs(prob.X).max():.6g}, so rescale the features"
         )
     return model, report
 

@@ -322,6 +322,11 @@ def _sweep_micro(spec, inv, true_pos, nd):
     return k, float(vals[k])
 
 
+# blocks whose ratios a grouped sweep forms at a time; at the walkthrough's
+# 120,000 blocks this bounds the work arrays of its ratios to a few MB
+_SWEEP_BLOCKS = 2**14
+
+
 def _sweep_grouped(spec, inv, true_pos, ginv, nd):
     """As _sweep_micro, for the mean ratio over the groups of ginv."""
     m = inv.size
@@ -344,13 +349,20 @@ def _sweep_grouped(spec, inv, true_pos, ginv, nd):
 
     r_init, _ = _ratio_arrays(spec, *_fractions(*counts_at(start, np.arange(ngrp))))
     # one block per (group, candidate); its ratio after the flip and the change
-    # against the group's previous block
+    # against the group's previous block, formed _SWEEP_BLOCKS blocks at a time
     last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
     g_b = ginv[order[last]]
     k_b = inv[order[last]]
-    r_after, _ = _ratio_arrays(spec, *_fractions(*counts_at(last + 1, g_b)))
-    same = np.append(False, g_b[1:] == g_b[:-1])
-    delta = r_after - np.where(same, np.roll(r_after, 1), r_init[g_b])
+    delta = np.empty(last.size)
+    r_max = np.abs(r_init).max()
+    r_prev, g_prev = 0.0, -1  # the previous chunk's last block
+    for a in range(0, last.size, _SWEEP_BLOCKS):
+        g = g_b[a:a + _SWEEP_BLOCKS]
+        r_after, _ = _ratio_arrays(spec, *_fractions(*counts_at(last[a:a + g.size] + 1, g)))
+        same = g == np.append(g_prev, g[:-1])
+        delta[a:a + g.size] = r_after - np.where(same, np.append(r_prev, r_after[:-1]), r_init[g])
+        r_max = max(r_max, np.abs(r_after).max())
+        r_prev, g_prev = r_after[-1], g[-1]
     step = np.bincount(k_b, weights=delta, minlength=nd + 1)
     approx = r_init.sum() + np.cumsum(step[::-1])[::-1]
 
@@ -359,7 +371,7 @@ def _sweep_grouped(spec, inv, true_pos, ginv, nd):
     # cumsum each err by at most (eps/2) * 2B, and each pairwise sum of G
     # ratios (the base and the exact value) by (eps/2) * B * G. The true
     # maximizer lies within twice the bound of the approximate maximum.
-    bound = ngrp * max(np.abs(r_after).max(), np.abs(r_init).max())
+    bound = ngrp * r_max
     tol = 4.0 * np.finfo(float).eps * bound * (m + ngrp + 1)
     near = np.flatnonzero(approx >= approx.max() - 2.0 * tol)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -15,8 +16,11 @@ from nondecomp.dataset_io import (
     load_model,
     mask_observations,
     parse_dataset,
+    read_parsed,
     save_model,
+    text_key,
     write_dataset,
+    write_parsed,
     write_results_csv,
 )
 from nondecomp import dataset_io
@@ -440,6 +444,98 @@ def models(draw):
     if draw(st.booleans()):
         return DenseModel(W=matrix(d, L), theta=theta)
     return FactoredModel(W1=matrix(d, k), W2=matrix(L, k), theta=theta)
+
+
+KEY = text_key(SAMPLE.encode(), "utf-8")
+
+
+def sidecar(ds, key=KEY):
+    buf = io.BytesIO()
+    write_parsed(ds, key, buf)
+    return buf.getvalue()
+
+
+def forged(arrays, key=KEY, version=b"1", pickle=False):
+    """Sidecar bytes of ``arrays`` under a header with a matching digest."""
+    buf = io.BytesIO()
+    for a in arrays:
+        np.lib.format.write_array(buf, np.asarray(a), allow_pickle=pickle)
+    payload = buf.getvalue()
+    head = b"nondecomp-parsed %s %s %s\n" % (
+        version, key.encode(), hashlib.sha256(payload).hexdigest().encode())
+    return head + payload
+
+
+def sample_arrays():
+    ds = parse_dataset(io.StringIO(SAMPLE))
+    return [np.array([ds.n, ds.d, ds.L]), ds.indptr, ds.indices, ds.values,
+            ds.label_indptr, ds.label_indices]
+
+
+class TestParsedSidecar:
+    @settings(max_examples=40)
+    @given(ds=datasets())
+    def test_round_trip(self, ds):
+        back = read_parsed(sidecar(ds), KEY)
+        assert (back.n, back.d, back.L) == (ds.n, ds.d, ds.L)
+        assert_same_arrays(back, ds)
+
+    def test_bytes_are_deterministic(self):
+        # two writes from two parses of one text; no time or path is in them
+        first = sidecar(parse_dataset(io.StringIO(SAMPLE)))
+        assert sidecar(parse_dataset(io.StringIO(SAMPLE))) == first
+        assert first.startswith(b"nondecomp-parsed 1 " + KEY.encode() + b" ")
+
+    def test_forged_sidecar_of_valid_arrays_reads(self):
+        # the reference for the forgeries below: only what they change fails
+        assert_same_arrays(read_parsed(forged(sample_arrays()), KEY),
+                           parse_dataset(io.StringIO(SAMPLE)))
+
+    def test_key_is_of_the_bytes_and_their_codec(self):
+        data = SAMPLE.encode()
+        assert text_key(data, "UTF-8") == text_key(data, "utf8") != text_key(data, "latin-1")
+        assert text_key(data + b"\n", "utf-8") != text_key(data, "utf-8")
+        assert read_parsed(sidecar(parse_dataset(io.StringIO(SAMPLE))),
+                           text_key(data, "latin-1")) is None
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-5],
+        lambda b: b[:b.index(b"\n") + 1],
+        lambda b: b"",
+        lambda b: b + b"\0",
+        lambda b: b[:-3] + bytes([b[-3] ^ 1]) + b[-2:],
+        lambda b: b.replace(b"nondecomp-parsed 1", b"nondecomp-parsed 2", 1),
+        lambda b: b.replace(b"\n", b"\r\n", 1),
+    ], ids=["truncated", "header_only", "empty", "trailing_byte", "flipped_bit",
+            "wrong_version", "crlf_header"])
+    def test_damaged_sidecar_is_refused(self, damage):
+        data = sidecar(parse_dataset(io.StringIO(SAMPLE)))
+        assert read_parsed(data, KEY) is not None
+        assert read_parsed(damage(data), KEY) is None
+
+    @pytest.mark.parametrize("change", [
+        lambda a: a.__setitem__(3, np.array([1.0, -0.5, 2.0], dtype=object)),
+        lambda a: a.__setitem__(3, a[3].astype(np.float32)),
+        lambda a: a.__setitem__(2, a[2].astype(np.int32)),
+        lambda a: a.__setitem__(0, np.array([2, 3, 2, 0])),
+        lambda a: a.__setitem__(2, np.array([0, 2, 3])),
+        lambda a: a.__setitem__(3, np.array([1.0, np.inf, 2.0])),
+        lambda a: a.__setitem__(1, np.array([0, 2, 4])),
+        lambda a: a.__setitem__(1, np.array([0, 3, 2])),
+        lambda a: a.__setitem__(5, np.array([0, 5])),
+        lambda a: a.__setitem__(4, a[4].reshape(1, -1)),
+        lambda a: a.pop(),
+    ], ids=["pickled_values", "float32_values", "int32_indices", "four_dims",
+            "index_out_of_range", "nonfinite_value", "pointer_past_end", "falling_pointer",
+            "label_out_of_range", "two_dim_pointers", "missing_array"])
+    def test_valid_digest_of_arrays_no_parse_gives_is_refused(self, change):
+        arrays = sample_arrays()
+        change(arrays)
+        pickle = any(a.dtype == object for a in arrays)
+        assert read_parsed(forged(arrays, pickle=pickle), KEY) is None
+
+    def test_wrong_version_with_its_own_digest_is_refused(self):
+        assert read_parsed(forged(sample_arrays(), version=b"2"), KEY) is None
 
 
 class TestRoundTripProperties:

@@ -1,5 +1,8 @@
+import hashlib
+import io
 import os
 import pathlib
+import shutil
 import time
 import tracemalloc
 from dataclasses import fields
@@ -15,7 +18,9 @@ from nondecomp.dataset_io import (
     SparseDataset,
     load_model,
     parse_dataset,
+    read_parsed,
     save_model,
+    text_key,
     write_dataset,
 )
 from nondecomp.estimator import DenseModel, ObservationSet
@@ -950,6 +955,36 @@ class TestCli:
         assert main(["compare", str(cfg), *args, "--lambda_reg=0.05"]) == 0
         assert os.path.exists(out / "compare.csv")
 
+    @pytest.mark.parametrize("exponent, code", [(10, 1), (50, 1), (2, 0)])
+    def test_fit_that_never_leaves_its_start_exits_1(self, tmp_path, capsys, exponent, code):
+        # prox_grad's backtracking gives up at an absolute step, and the step
+        # it needs shrinks as 1 / scale**2, so large features stop it at its
+        # zero start; that fit must not exit 0 with the start saved
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 4)) * 10.0**exponent
+        Y = rng.integers(0, 2, size=(60, 6))
+        data = tmp_path / "scaled.txt"
+        with open(data, "w") as fh:
+            write_dataset(SparseDataset(
+                60, 4, 6, [list(enumerate(row.tolist())) for row in X],
+                [set(np.flatnonzero(row).tolist()) for row in Y],
+            ), fh)
+        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
+        out = tmp_path / "out"
+        args = [f"--data_path={data}", "--ratio=0.5", "--k=2", "--solver=prox_grad",
+                f"--out_dir={out}"]
+        assert main(["fit", str(cfg), *args]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "stop=rel_tol" in captured.out
+            return
+        top = f"{np.abs(X).max():.6g}"
+        assert captured.err == (
+            "numerical failure: prox_grad took no step from its start: its line search "
+            f"failed at iteration 0; the largest |feature| is {top}, so rescale the features\n"
+        )
+        assert not os.path.exists(out / "model.txt")
+
     def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
         assert main(["fit", cfg, f"--model_path={tmp_path}/out/m.txt"]) == 0
@@ -1070,3 +1105,175 @@ class TestModelTruthRoundTrip:
         W_star = gen_lowrank_W(spec)
         model = load_model(open(paths["wstar_path"]))
         np.testing.assert_allclose(model.W, W_star, atol=1e-12)
+
+
+class TestParsedSidecar:
+    """A dataset file's parsed arrays are kept beside it, in the file of the
+    same name plus ".parsed", and read back only for the same bytes."""
+
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(TestCli.BASE + text)
+        return str(path)
+
+    @staticmethod
+    def dataset(tmp_path, name="train.txt", seed=0):
+        """A 40 x 5 dataset with 8 labels."""
+        rng = np.random.default_rng(seed)
+        ds = SparseDataset(
+            n=40, d=5, L=8,
+            features=[list(enumerate(rng.normal(size=5).tolist())) for _ in range(40)],
+            labels=[set(np.flatnonzero(rng.random(8) < 0.3).tolist()) for _ in range(40)],
+        )
+        path = tmp_path / name
+        with open(path, "w") as fh:
+            write_dataset(ds, fh)
+        return path
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+
+        def counted(stream):
+            calls.append(stream)
+            return parse_dataset(stream)
+
+        monkeypatch.setattr(harness, "parse_dataset", counted)
+        return calls
+
+    @staticmethod
+    def read(path):
+        with open(path) as fh:
+            return harness._parse_dataset_file(fh)
+
+    def test_hit_gives_the_arrays_of_a_parse(self, tmp_path, monkeypatch):
+        path = self.dataset(tmp_path)
+        calls = self.count_parses(monkeypatch)
+        miss = self.read(path)
+        hit = self.read(path)
+        assert len(calls) == 1 and os.path.exists(f"{path}.parsed")
+        want = parse_dataset(open(path))
+        for got in (miss, hit):
+            assert (got.n, got.d, got.L) == (want.n, want.d, want.L)
+            for name in ("indptr", "indices", "values", "label_indptr", "label_indices"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_hit_and_miss_give_the_same_outputs(self, tmp_path, capsys):
+        train = self.dataset(tmp_path)
+        test = self.dataset(tmp_path, "test.txt", seed=1)
+        cfg = self.config(tmp_path, (
+            f"data_path = {train}\ntest_path = {test}\nout_dir = {tmp_path}/out\n"
+            "metrics = micro_f1,macro_f1,instance_f1\n"))
+        runs = []
+        for sidecars in ("absent", "present"):
+            assert os.path.exists(f"{train}.parsed") == (sidecars == "present")
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            for task in ("fit", "threshold", "eval"):
+                assert main([task, cfg]) == 0
+            files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+
+    def test_edited_text_is_parsed_again_and_its_sidecar_replaced(self, tmp_path, monkeypatch):
+        path = self.dataset(tmp_path)
+        calls = self.count_parses(monkeypatch)
+        self.read(path)
+        old = (tmp_path / "train.txt.parsed").read_bytes()
+        text = path.read_text()
+        path.write_text(text.replace(":", ":1", 1))  # one feature value changes
+        edited = self.read(path)
+        assert len(calls) == 2
+        assert edited.values.tobytes() == parse_dataset(open(path)).values.tobytes()
+        new = (tmp_path / "train.txt.parsed").read_bytes()
+        assert new != old
+        self.read(path)
+        assert len(calls) == 2  # the replaced sidecar serves the edited text
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[: len(b) // 2],
+        lambda b: b[:-9] + bytes([b[-9] ^ 0x10]) + b[-8:],
+        lambda b: b.replace(b"nondecomp-parsed 1", b"nondecomp-parsed 9", 1),
+        lambda b: b"not a sidecar",
+    ], ids=["truncated", "corrupted", "wrong_version", "garbage"])
+    def test_damaged_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
+        path = self.dataset(tmp_path)
+        self.read(path)
+        side = tmp_path / "train.txt.parsed"
+        good = side.read_bytes()
+        side.write_bytes(damage(good))
+        calls = self.count_parses(monkeypatch)
+        got = self.read(path)
+        assert len(calls) == 1
+        assert got.values.tobytes() == parse_dataset(open(path)).values.tobytes()
+        assert side.read_bytes() == good  # rewritten, byte for byte
+
+    def test_pickled_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch):
+        # a payload of object arrays with a valid digest is never unpickled
+        path = self.dataset(tmp_path)
+        side = tmp_path / "train.txt.parsed"
+        buf = io.BytesIO()
+        for a in (np.array([40, 5, 8]), *[np.array([object()], dtype=object)] * 5):
+            np.lib.format.write_array(buf, a, allow_pickle=True)
+        payload = buf.getvalue()
+        with open(path) as fh:  # the codec a dataset file is read in
+            key = text_key(path.read_bytes(), fh.encoding)
+        digest = hashlib.sha256(payload).hexdigest()
+        side.write_bytes(f"nondecomp-parsed 1 {key} {digest}\n".encode() + payload)
+        calls = self.count_parses(monkeypatch)
+        self.read(path)
+        assert len(calls) == 1
+        assert read_parsed(side.read_bytes(), key) is not None  # rewritten from the parse
+
+    def test_sidecar_bytes_are_deterministic(self, tmp_path):
+        path = self.dataset(tmp_path)
+        self.read(path)
+        first = (tmp_path / "train.txt.parsed").read_bytes()
+        os.remove(tmp_path / "train.txt.parsed")
+        self.read(path)
+        assert (tmp_path / "train.txt.parsed").read_bytes() == first
+
+    def test_malformed_text_beside_a_valid_sidecar_exits_2(self, tmp_path, capsys):
+        path = self.dataset(tmp_path)
+        cfg = self.config(tmp_path, (
+            f"data_path = {path}\nout_dir = {tmp_path}/out\n"))
+        assert main(["fit", cfg]) == 0
+        side = tmp_path / "train.txt.parsed"
+        kept = side.read_bytes()
+        lines = path.read_text().split("\n")
+        lines[2] = lines[2].replace(":", ":x", 1)
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["fit", cfg]) == 2
+        assert f"error: dataset {str(path)!r}: line 3: bad feature token" in capsys.readouterr().err
+        assert side.read_bytes() == kept  # bad input writes no sidecar
+
+    @pytest.mark.parametrize("fails", ["mkstemp", "replace"])
+    def test_unwritable_directory_parses_and_leaves_no_file(self, tmp_path, monkeypatch, fails):
+        # the suite may run as root, which chmod does not stop; inject the error
+        path = self.dataset(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        owner = harness.tempfile if fails == "mkstemp" else harness.os
+        monkeypatch.setattr(owner, fails, refuse)
+        calls = self.count_parses(monkeypatch)
+        got = self.read(path)
+        assert len(calls) == 1 and got.n == 40
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt"]
+
+    def test_second_pipeline_run_parses_nothing(self, tmp_path, monkeypatch):
+        train = self.dataset(tmp_path)
+        test = self.dataset(tmp_path, "test.txt", seed=1)
+        cfg = self.config(tmp_path, (
+            f"data_path = {train}\ntest_path = {test}\nout_dir = {tmp_path}/out\n"))
+        calls = self.count_parses(monkeypatch)
+        counts = []
+        for _ in range(2):
+            for task in ("fit", "threshold", "eval"):
+                assert main([task, cfg, "--solver=plugin"]) == 0
+            counts.append(len(calls))
+        # the first run parses each file once, the second reads both sidecars
+        assert counts == [2, 2]

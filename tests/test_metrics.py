@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nondecomp import metrics
 from nondecomp.metrics import (
     METRIC_REGISTRY,
     Confusion,
@@ -392,6 +395,42 @@ class TestThresholdSweep:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             threshold_sweep(np.array([]), np.array([]), F1)
+
+
+def walkthrough_entries(seed=0):
+    """120,000 observed entries of a 2000 x 200 label matrix, the
+    walkthrough's size: scores, labels, rows and columns."""
+    rng = np.random.default_rng(seed)
+    flat = np.sort(rng.choice(2000 * 200, 120_000, replace=False))
+    y = (rng.random(flat.size) < 0.3).astype(np.int8)
+    return rng.normal(size=flat.size), y, flat // 200, flat % 200
+
+
+class TestGroupedSweepChunks:
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 7, 2**30])
+    @pytest.mark.parametrize("spec", [INST_F1, MACRO_F1, get_metric("accuracy")])
+    def test_chunk_size_leaves_every_bit(self, monkeypatch, blocks, spec):
+        # a chunk of one block carries the previous ratio and group across every boundary
+        rng = np.random.default_rng(3)
+        z = np.round(rng.normal(size=400), 1)  # ties, so blocks hold several entries
+        y = rng.integers(0, 2, size=400)
+        groups = rng.integers(0, 25, size=400)
+        want = threshold_sweep(z, y, spec, groups)
+        monkeypatch.setattr(metrics, "_SWEEP_BLOCKS", blocks)
+        assert threshold_sweep(z, y, spec, groups) == want
+
+    @pytest.mark.parametrize("spec, axis", [(MACRO_F1, 3), (INST_F1, 2)])
+    def test_peak_memory_per_entry(self, spec, axis):
+        # 138 bytes an entry when every block's ratio was formed at once
+        entries = walkthrough_entries()
+        z, y, groups = entries[0], entries[1], entries[axis]
+        tracemalloc.start()
+        try:
+            threshold_sweep(z, y, spec, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / z.size <= 115
 
 
 class TestRegistry:
