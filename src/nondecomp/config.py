@@ -13,7 +13,10 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-__all__ = ["ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "read_input"]
+__all__ = [
+    "ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "read_input",
+    "undecodable_line",
+]
 
 TASKS = ("synth", "fit", "threshold", "eval", "convergence", "compare", "rate_check")
 
@@ -34,19 +37,20 @@ def read_input(path, what, parse, error):
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{what} {path!r}: {_undecodable_line(path, exc)}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
+        raise error(f"{what} {path!r}: {undecodable_line(data, exc)}") from None
     except error as exc:
         raise error(f"{what} {path!r}: {exc}") from None
 
 
-def _undecodable_line(path, exc):
-    """'line N: ...' naming the first byte of ``path`` that is not text.
+def undecodable_line(data, exc):
+    """'line N: ...' naming the first byte of the file bytes ``data`` that
+    is not text.
 
-    ``exc`` is the UnicodeDecodeError raised while reading ``path``; its
-    position counts from the chunk being decoded, so the whole file is
-    decoded again to find the line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    ``exc`` is the UnicodeDecodeError raised while reading them; its
+    position counts from the chunk being decoded, so the whole of ``data``
+    is decoded again to find the line."""
     try:
         data.decode(exc.encoding)
     except UnicodeDecodeError as whole:

@@ -2,14 +2,10 @@
 tables, and SVG plots.
 
 A dataset is held as CSR arrays (``SparseDataset``). ``parse_dataset``
-takes one route per file: a file in the plain spelling is converted in
-blocks of rows, each by a few string and numpy calls over the block's
-joined text, and checked as arrays. Any other file (non-ASCII digits,
-"+1", tabs in a label field), or one that fails a check, is read whole by
-the line-by-line checker, which names the first bad line.
-``write_dataset`` refuses a dataset whose text ``parse_dataset`` would
-reject, so parse(write(ds)) always gives ds back, and its text is always
-in the plain spelling. ``write_parsed`` and ``read_parsed`` keep a parsed
+reads a file line by line, checking each line as it goes, and names the
+first bad line of a malformed one. ``write_dataset`` refuses a dataset
+whose text ``parse_dataset`` would reject, so parse(write(ds)) always
+gives ds back. ``write_parsed`` and ``read_parsed`` keep a parsed
 dataset's arrays in a sidecar file keyed by the SHA-256 of its text, so a
 later read of the same bytes skips the parse.
 
@@ -26,6 +22,7 @@ import hashlib
 import io
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import itemgetter
@@ -177,16 +174,9 @@ def _fail(line_no, message):
     raise DatasetFormatError(f"line {line_no}: {message}")
 
 
-# rows converted at a time: a block's label fields and its feature fields
-# are each joined into one text, which a few string and numpy calls convert,
-# so a file's value strings are never all held at once
+# rows that write_dataset formats at a time, so a file's token strings are
+# never all held at once
 _BLOCK_ROWS = 256
-
-# the ASCII bytes other than space and "\n" that str.split() splits on
-_BLANKS = bytes.maketrans(b"\t\r\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 8)
-# np.fromstring saturates an int64 that overflows, so longer indices are
-# left to the line checker
-_MAX_DIGITS = 18
 
 
 def parse_dataset(stream):
@@ -197,13 +187,10 @@ def parse_dataset(stream):
     0-based. An empty label field (line starting with a space) means no
     positive labels. A feature index may appear once per line.
 
-    The body takes one of two routes. When every block of rows is in the
-    plain spelling (ASCII digits and commas for labels, ASCII "idx:val"
-    tokens), each is read by one np.fromstring for its labels, one for its
-    feature indices and float over its value strings, and the arrays are
-    then checked for ranges, finiteness and duplicates. Otherwise, or when
-    a check fails, the line-by-line checker reads the whole body; it
-    returns the same dataset or raises the error naming the first bad line.
+    Each line is checked as it is read, so a malformed text raises the
+    DatasetFormatError naming its first bad line. Each line's feature
+    indices and values and its sorted unique labels are appended to flat
+    arrays, from which the CSR arrays are made once.
     """
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
@@ -222,93 +209,12 @@ def parse_dataset(stream):
         _fail(1, "header dimensions out of range")
     if len(lines) - 1 != n:
         _fail(len(lines), f"expected {n} instance lines, found {len(lines) - 1}")
-    body = lines[1:]
-    ds = _parse_bulk(body, n, d, L)
-    return ds if ds is not None else _parse_lines(body, n, d, L)
-
-
-def _parse_bulk(body, n, d, L):
-    """The dataset of the instance lines, or None at the first block not in
-    the plain spelling or on a failed check; no error text is made here."""
-    empty = np.zeros(0, dtype=np.int64)
-    blocks = [(empty, empty, np.zeros(0), empty, empty)]
-    for start in range(0, n, _BLOCK_ROWS):
-        arrays = _convert_block(body[start:start + _BLOCK_ROWS])
-        if arrays is None:
-            return None
-        blocks.append(arrays)
-    feat_counts, feat_idx, feat_val, label_counts, label_idx = map(np.concatenate, zip(*blocks))
-    ds = SparseDataset.from_arrays(
-        n, d, L, _indptr(feat_counts), feat_idx, feat_val, _indptr(label_counts), label_idx,
-    )
-    return ds if _fault(ds) is None else None
-
-
-def _convert_block(rows):
-    """(feature counts, indices, values, label counts, label indices) of
-    instance lines in the plain spelling, or None for any other text.
-
-    The plain spelling: labels of ASCII digits between commas, and feature
-    tokens "j:v" between ASCII blanks, with j of ASCII digits and v of
-    [0-9.eE+-]. Values go through float, as in the line checker, so they
-    round the same way."""
-    fields = [row.partition(" ") for row in rows]
-    label_fields = [f[0] for f in fields]
-    text = "\n".join([f[2] for f in fields])
-    try:
-        labels = ",".join(filter(None, label_fields)).encode("ascii")
-        feats = text.encode("ascii").translate(_BLANKS)
-    except UnicodeEncodeError:
-        return None
-    if feats.translate(None, b"0123456789.eE+-: \n"):
-        return None
-    # each token runs between blanks and holds one colon, with text on both sides
-    b = np.frombuffer(feats, np.uint8)
-    blank = np.concatenate(([True], (b == ord(" ")) | (b == ord("\n")), [True]))
-    edges = np.flatnonzero(blank[1:] != blank[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    colons = np.flatnonzero(b == ord(":"))
-    if colons.size != starts.size or np.any(colons <= starts) or np.any(colons >= ends - 1):
-        return None
-    tokens = text.replace(":", " ").split()
-    feat_idx = _read_ints(" ".join(tokens[0::2]).encode("ascii"), " ")
-    label_idx = _read_ints(labels, ",")
-    if feat_idx is None or label_idx is None:
-        return None
-    try:
-        values = np.fromiter(map(float, tokens[1::2]), float, starts.size)
-    except ValueError:
-        return None
-    lines = np.concatenate(([0], np.flatnonzero(b == ord("\n")), [b.size]))
-    return (np.diff(np.searchsorted(starts, lines)), feat_idx, values,
-            np.fromiter([f.count(",") + 1 if f else 0 for f in label_fields], np.int64),
-            label_idx)
-
-
-def _read_ints(text, sep):
-    """The int64 tokens of the bytes ``text`` split at the one-character
-    ``sep``, or None unless each token is 1 to _MAX_DIGITS ASCII digits;
-    text that passes these checks is read to its end."""
-    if not text:
-        return np.zeros(0, dtype=np.int64)
-    if text.translate(None, b"0123456789" + sep.encode()):
-        return None
-    seps = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(sep))
-    lengths = np.diff(np.concatenate(([-1], seps, [len(text)]))) - 1
-    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=sep)
-
-
-def _parse_lines(body, n, d, L):
-    """The line-by-line checker: the dataset of the instance lines, or the
-    DatasetFormatError of the first bad line; ``body[0]`` is line 2 of the
-    file."""
-    features = []
-    labels = []
-    for i in range(n):
-        line_no = i + 2
-        label_field, _, feat_field = body[i].partition(" ")
+    # array.array keeps machine ints and floats, so the text's numbers are
+    # never all held as Python objects at once
+    feat_counts, feat_idx, feat_val = [], array("q"), array("d")
+    label_counts, label_idx = [], array("q")
+    for line_no, line in enumerate(lines[1:], start=2):
+        label_field, _, feat_field = line.partition(" ")
         labs = set()
         if label_field:
             for tok in label_field.split(","):
@@ -319,9 +225,11 @@ def _parse_lines(body, n, d, L):
                 if not 0 <= j < L:
                     _fail(line_no, f"label index {j} out of range [0, {L})")
                 labs.add(j)
-        feats = []
+        label_counts.append(len(labs))
+        label_idx.extend(sorted(labs))
+        tokens = feat_field.split()
         seen = set()
-        for tok in feat_field.split():
+        for tok in tokens:
             idx_s, _, val_s = tok.partition(":")
             try:
                 j = int(idx_s)
@@ -335,10 +243,12 @@ def _parse_lines(body, n, d, L):
             if j in seen:
                 _fail(line_no, f"duplicate feature index {j}")
             seen.add(j)
-            feats.append((j, v))
-        features.append(feats)
-        labels.append(labs)
-    return SparseDataset(n=n, d=d, L=L, features=features, labels=labels)
+            feat_idx.append(j)
+            feat_val.append(v)
+        feat_counts.append(len(tokens))
+    return SparseDataset.from_arrays(
+        n, d, L, _indptr(feat_counts), feat_idx, feat_val, _indptr(label_counts), label_idx,
+    )
 
 
 def write_dataset(dataset, stream):

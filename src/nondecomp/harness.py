@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import UsageError, read_input
+from .config import UsageError, read_input, undecodable_line
 from .dataset_io import (
     DatasetFormatError,
     ModelFormatError,
@@ -192,7 +192,11 @@ def _parse_dataset_file(fh):
         ds = read_parsed(stored, key)
     if ds is None:
         text = io.TextIOWrapper(io.BytesIO(data), encoding=fh.encoding, errors=fh.errors)
-        ds = parse_dataset(text)
+        try:
+            ds = parse_dataset(text)
+        except UnicodeDecodeError as exc:
+            # the line is found in these bytes: a pipe cannot be read again
+            raise DatasetFormatError(undecodable_line(data, exc)) from None
         if sidecar is not None:
             _keep_parsed(sidecar, ds, key, mode)
     return ds

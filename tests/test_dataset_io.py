@@ -1,5 +1,7 @@
 import hashlib
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,6 @@ from nondecomp.dataset_io import (
     write_parsed,
     write_results_csv,
 )
-from nondecomp import dataset_io
-from nondecomp.dataset_io import _parse_bulk, _parse_lines
 from nondecomp.estimator import DenseModel, FactoredModel, predict_scores
 from nondecomp.sampler import OmegaDistribution, sample_omega
 
@@ -564,129 +564,173 @@ class TestRoundTripProperties:
             assert bits(getattr(back, name)) == bits(getattr(model, name))
 
 
-def assert_paths_agree(text):
-    """parse_dataset reads ``text`` as the line checker does: the same
-    arrays, X and Y, or the checker's message. The bulk path gives the same
-    arrays where it returns a dataset, and none for a text the checker
-    rejects."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    n, d, L = (int(tok) for tok in lines[0].split())
-    body = lines[1:]
-    try:
-        want = _parse_lines(body, n, d, L)
-    except DatasetFormatError as exc:
-        assert _parse_bulk(body, n, d, L) is None
-        with pytest.raises(DatasetFormatError) as err:
-            parse_dataset(io.StringIO(text))
-        assert str(err.value) == str(exc)
-        return
-    got = _parse_bulk(body, n, d, L)
-    for ds in ([] if got is None else [got]) + [parse_dataset(io.StringIO(text))]:
-        assert_same_arrays(ds, want)
-        assert ds.to_dense_X().tobytes() == want.to_dense_X().tobytes()
-        assert ds.label_matrix().tobytes() == want.label_matrix().tobytes()
-
-
 def rows_300(odd_row, at):
-    """A 300-row dataset text in the plain spelling but for row ``at``."""
+    """A 300-row dataset text whose row ``at`` is ``odd_row``."""
     rows = [f"{i % 3},{(i + 1) % 3} {i % 4}:{i / 7!r} {(i + 2) % 4}:-{i}" for i in range(300)]
     rows[at] = odd_row
     return "300 4 3\n" + "\n".join(rows) + "\n"
 
 
-class TestBulkParseAgreesWithChecker:
-    @pytest.mark.parametrize("text", [
-        "2 4 3\n0,2 0:1.5 3:-2\n1 1:0.25\n",
-        "0 4 3\n",
-        "3 4 3\n\n \n2\n",
-        "2 4 3\r\n0 0:1\r\n1\r\n",
-        "1 4 3\n0 0:1\t1:2  2:3\x0b3:4\n",
-        "1 4 3\n 2:1 0:2 1:3\n",
-        "1 4 3\n2,0,2 0:1\n",
-        "1 4 3\n0 1:2:3\n",
-        "1 4 3\n0 1:2:3 2\n",
-        "1 4 3\n0 :5\n",
-        "1 4 3\n0 5:\n",
-        "1 4 3\n0 15\n",
-        "1 4 3\n0 1::5\n",
-        "1 4 3\n0 1:nan\n",
-        "1 4 3\n0 1:-inf\n",
-        "1 4 3\n0 1:1e999\n",
-        "1 4 3\n+1 +1:+1\n",
-        "1 40 30\n1_0 1_0:1_0\n",
-        "1 4 3\n0 1:1.a\n",
-        "1 4 3\n0 a:1\n",
-        "1 4 3\nb 1:1\n",
-        "1 4 3\n0 4:1\n",
-        "1 4 3\n0 -1:1\n",
-        "1 4 3\n3 0:1\n",
-        "1 4 3\n-1 0:1\n",
-        "1 4 3\n0 0:1 0:2\n",
-        "1 4 3\n0, 0:1\n",
-        "1 4 3\n0\t1 0:1\n",
-        "1 4 3\n0 99999999999999999999:1\n",
-        "1 4 3\n99999999999999999999 0:1\n",
-        "1 4 3\n١ ٢:1\n",
-        "1 4 3\n0 1.0:1\n",
-        "1 4 3\n0 1e0:1\n",
-        "1 4 3\n0 007:1\n",
-        "1 4 3\n0 1:1.2.3\n",
-        "1 4 3\n0 1:1-2\n",
-        "1 4 3\n0 1:1e\n",
-        "1 4 3\n0 1:0x1p3\n",
-        "1 4 3\n0 1:.5\n",
-        "1 4 3\n0 1:5.\n",
-        "1 4 3\n0 1:-0.0\n",
-        "1 4 3\n0 1000000000000000000:1\n",
-        "1 4 3\n0 0000000000000000001:1\n",
-        "1 4 3\n1000000000000000000 0:1\n",
-        "1 4 3\n0000000000000000002 0:1\n",
-        "1 4 3\n1.0 0:1\n",
-        "1 4 3\n1,,2 0:1\n",
-        "1 4 3\n1, 0:1\n",
-        rows_300("\t1 0:1", 280),
-        rows_300("1\r", 280),
-        rows_300("+1 +1:+1", 280),
-        rows_300("0 1:1.2.3", 290),
-    ])
-    def test_hand_cases(self, text):
-        assert_paths_agree(text)
+def rows_300_dataset(odd_labels, odd_features, at):
+    """The dataset of ``rows_300`` whose row ``at`` has the given labels and
+    (index, value) pairs."""
+    features = [[(i % 4, i / 7), ((i + 2) % 4, -float(i))] for i in range(300)]
+    labels = [{i % 3, (i + 1) % 3} for i in range(300)]
+    features[at], labels[at] = odd_features, odd_labels
+    return SparseDataset(300, 4, 3, features, labels)
 
-    @pytest.mark.parametrize("row", ["\t1 0:1", "1\r", "+1 +1:+1"])
-    def test_an_odd_row_sends_the_whole_file_to_the_checker(self, monkeypatch, row):
-        calls = []
 
-        def spy(body, n, d, L):
-            calls.append((len(body), n))
-            return _parse_lines(body, n, d, L)
+# texts in unusual layouts and spellings, with the arrays each parses to:
+# d, L, indptr, indices, values, label_indptr, label_indices
+PARSED_TEXTS = [
+    ("2 4 3\n0,2 0:1.5 3:-2\n1 1:0.25\n", 4, 3, [0, 2, 3], [0, 3, 1], [1.5, -2.0, 0.25],
+     [0, 2, 3], [0, 2, 1]),
+    ("0 4 3\n", 4, 3, [0], [], [], [0], []),
+    ("3 4 3\n\n \n2\n", 4, 3, [0, 0, 0, 0], [], [], [0, 0, 0, 1], [2]),
+    ("2 4 3\r\n0 0:1\r\n1\r\n", 4, 3, [0, 1, 1], [0], [1.0], [0, 1, 2], [0, 1]),
+    ("1 4 3\n0 0:1\t1:2  2:3\x0b3:4\n", 4, 3, [0, 4], [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0],
+     [0, 1], [0]),
+    ("1 4 3\n 2:1 0:2 1:3\n", 4, 3, [0, 3], [0, 1, 2], [2.0, 3.0, 1.0], [0, 0], []),
+    ("1 4 3\n2,0,2 0:1\n", 4, 3, [0, 1], [0], [1.0], [0, 2], [0, 2]),
+    ("1 4 3\n+1 +1:+1\n", 4, 3, [0, 1], [1], [1.0], [0, 1], [1]),
+    ("1 40 30\n1_0 1_0:1_0\n", 40, 30, [0, 1], [10], [10.0], [0, 1], [10]),
+    ("1 4 3\n١ ٢:1\n", 4, 3, [0, 1], [2], [1.0], [0, 1], [1]),
+    ("1 4 3\n0 1:.5\n", 4, 3, [0, 1], [1], [0.5], [0, 1], [0]),
+    ("1 4 3\n0 1:5.\n", 4, 3, [0, 1], [1], [5.0], [0, 1], [0]),
+    ("1 4 3\n0 1:-0.0\n", 4, 3, [0, 1], [1], [-0.0], [0, 1], [0]),
+    ("1 4 3\n0 0000000000000000001:1\n", 4, 3, [0, 1], [1], [1.0], [0, 1], [0]),
+    ("1 4 3\n0000000000000000002 0:1\n", 4, 3, [0, 1], [0], [1.0], [0, 1], [2]),
+    ("1 4 3\n0 0:1", 4, 3, [0, 1], [0], [1.0], [0, 1], [0]),
+]
 
-        monkeypatch.setattr(dataset_io, "_parse_lines", spy)
-        parse_dataset(io.StringIO(rows_300(row, 280)))
-        assert calls == [(300, 300)]  # one call, over every row
+# malformed texts, with the message each is rejected with
+REJECTED_TEXTS = [
+    ("1 4 3\n0 1:2:3\n", "line 2: bad feature token '1:2:3'"),
+    ("1 4 3\n0 1:2:3 2\n", "line 2: bad feature token '1:2:3'"),
+    ("1 4 3\n0 :5\n", "line 2: bad feature token ':5'"),
+    ("1 4 3\n0 5:\n", "line 2: bad feature token '5:'"),
+    ("1 4 3\n0 15\n", "line 2: bad feature token '15'"),
+    ("1 4 3\n0 1::5\n", "line 2: bad feature token '1::5'"),
+    ("1 4 3\n0 1:nan\n", "line 2: non-finite feature value '1:nan'"),
+    ("1 4 3\n0 1:-inf\n", "line 2: non-finite feature value '1:-inf'"),
+    ("1 4 3\n0 1:1e999\n", "line 2: non-finite feature value '1:1e999'"),
+    ("1 4 3\n0 1:1.a\n", "line 2: bad feature token '1:1.a'"),
+    ("1 4 3\n0 a:1\n", "line 2: bad feature token 'a:1'"),
+    ("1 4 3\nb 1:1\n", "line 2: bad label index 'b'"),
+    ("1 4 3\n0 4:1\n", "line 2: feature index 4 out of range [0, 4)"),
+    ("1 4 3\n0 -1:1\n", "line 2: feature index -1 out of range [0, 4)"),
+    ("1 4 3\n3 0:1\n", "line 2: label index 3 out of range [0, 3)"),
+    ("1 4 3\n-1 0:1\n", "line 2: label index -1 out of range [0, 3)"),
+    ("1 4 3\n0 0:1 0:2\n", "line 2: duplicate feature index 0"),
+    ("1 4 3\n0, 0:1\n", "line 2: bad label index ''"),
+    ("1 4 3\n0\t1 0:1\n", "line 2: bad label index '0\\t1'"),
+    ("1 4 3\n0 99999999999999999999:1\n",
+     "line 2: feature index 99999999999999999999 out of range [0, 4)"),
+    ("1 4 3\n99999999999999999999 0:1\n",
+     "line 2: label index 99999999999999999999 out of range [0, 3)"),
+    ("1 4 3\n0 1.0:1\n", "line 2: bad feature token '1.0:1'"),
+    ("1 4 3\n0 1e0:1\n", "line 2: bad feature token '1e0:1'"),
+    ("1 4 3\n0 007:1\n", "line 2: feature index 7 out of range [0, 4)"),
+    ("1 4 3\n0 1:1.2.3\n", "line 2: bad feature token '1:1.2.3'"),
+    ("1 4 3\n0 1:1-2\n", "line 2: bad feature token '1:1-2'"),
+    ("1 4 3\n0 1:1e\n", "line 2: bad feature token '1:1e'"),
+    ("1 4 3\n0 1:0x1p3\n", "line 2: bad feature token '1:0x1p3'"),
+    ("1 4 3\n0 1000000000000000000:1\n",
+     "line 2: feature index 1000000000000000000 out of range [0, 4)"),
+    ("1 4 3\n1000000000000000000 0:1\n",
+     "line 2: label index 1000000000000000000 out of range [0, 3)"),
+    ("1 4 3\n1.0 0:1\n", "line 2: bad label index '1.0'"),
+    ("1 4 3\n1,,2 0:1\n", "line 2: bad label index ''"),
+    ("1 4 3\n1, 0:1\n", "line 2: bad label index ''"),
+    ("1 4 3\n0 0:1\n\n", "line 3: expected 1 instance lines, found 2"),
+    (rows_300("0 1:1.2.3", 290), "line 292: bad feature token '1:1.2.3'"),
+]
+
+
+class TestParseOutcomes:
+    @pytest.mark.parametrize(
+        "text, d, L, indptr, indices, values, label_indptr, label_indices", PARSED_TEXTS)
+    def test_parsed_texts(self, text, d, L, indptr, indices, values, label_indptr,
+                          label_indices):
+        ds = parse_dataset(io.StringIO(text))
+        assert (ds.n, ds.d, ds.L) == (len(indptr) - 1, d, L)
+        for got, want, dtype in ((ds.indptr, indptr, np.int64), (ds.indices, indices, np.int64),
+                                 (ds.values, values, float),
+                                 (ds.label_indptr, label_indptr, np.int64),
+                                 (ds.label_indices, label_indices, np.int64)):
+            assert got.dtype == dtype
+            assert got.tobytes() == np.array(want, dtype=dtype).tobytes()
+
+    @pytest.mark.parametrize("text, message", REJECTED_TEXTS)
+    def test_rejected_texts(self, text, message):
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(io.StringIO(text))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("row, labels, features", [
+        ("\t1 0:1", {1}, [(0, 1.0)]),
+        ("1\r", {1}, []),
+        ("+1 +1:+1", {1}, [(1, 1.0)]),
+    ], ids=["tab_before_label", "cr_after_label", "plus_signs"])
+    def test_odd_row_in_a_later_block(self, row, labels, features):
+        assert_same_arrays(parse_dataset(io.StringIO(rows_300(row, 280))),
+                           rows_300_dataset(labels, features, 280))
 
     def test_error_in_a_later_block_names_its_line(self):
         with pytest.raises(DatasetFormatError, match="^line 292: bad feature token '1:1.2.3'$"):
             parse_dataset(io.StringIO(rows_300("0 1:1.2.3", 290)))
 
-    @settings(max_examples=60)
-    @given(ds=datasets())
-    def test_written_text_stays_on_the_array_route(self, ds):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the line checker was called")
-
-        buf = io.StringIO()
-        write_dataset(ds, buf)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataset_io, "_parse_lines", refuse)
-            back = parse_dataset(io.StringIO(buf.getvalue()))
-        assert_same_arrays(back, ds)
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_valid_and_mutated_texts(self, data):
-        assert_paths_agree(data.draw(dataset_texts()))
+        # a text parses to a dataset that writes and reads back unchanged, or
+        # is rejected naming one of its lines; no other exception escapes
+        text = data.draw(dataset_texts())
+        n = int(text.split()[0])
+        try:
+            ds = parse_dataset(io.StringIO(text))
+        except DatasetFormatError as exc:
+            line = re.match(r"line (\d+): ", str(exc))
+            assert line is not None and 1 <= int(line.group(1)) <= n + 1, str(exc)
+            return
+        buf = io.StringIO()
+        write_dataset(ds, buf)
+        back = parse_dataset(io.StringIO(buf.getvalue()))
+        assert (back.n, back.d, back.L) == (ds.n, ds.d, ds.L)
+        assert_same_arrays(back, ds)
+
+
+def walkthrough_text():
+    """Dataset text of the README walkthrough's size (n = 2000, d = 50,
+    L = 200): every feature set, with 17-digit values, and about half the
+    labels positive."""
+    rng = np.random.default_rng(0)
+    n, d, L = 2000, 50, 200
+    Y = rng.random((n, L)) < 0.5
+    ds = SparseDataset.from_arrays(
+        n, d, L, np.arange(0, n * d + 1, d), np.tile(np.arange(d), n),
+        rng.standard_normal(n * d), np.r_[0, np.cumsum(Y.sum(axis=1))], np.nonzero(Y)[1],
+    )
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    return buf.getvalue()
+
+
+class TestParseMemory:
+    def test_peak_per_text_byte_at_walkthrough_size(self):
+        # the stream's own buffer is not counted: a parse, from reading the
+        # text to the dataset it returns, peaks at about 3 bytes per text
+        # byte; per-row lists of (index, value) tuples peaked at about 12.5
+        text = walkthrough_text()
+        stream = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.indices.size == 2000 * 50
+        assert peak <= 4 * len(text)
 
 
 # replacements for one token: colons dropped, doubled or moved, values the

@@ -3,6 +3,8 @@ import io
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
@@ -11,6 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import nondecomp
 from nondecomp import harness
 from nondecomp.cli import main
 from nondecomp.config import ExperimentConfig, UsageError, parse_config_text
@@ -639,17 +642,29 @@ class TestCli:
         assert main(["eval", cfg]) == 2
         assert f"error: model {str(model)!r}: line 3: bad theta 'abc'" in capsys.readouterr().err
 
-    def test_undecodable_dataset_names_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("through", ["file", "pipe"])
+    def test_undecodable_dataset_names_file_and_line(self, tmp_path, capsys, through):
         data = tmp_path / "bytes.txt"
         data.write_bytes(b"3 2 2\n0 0:0.5 1:1.0\n1 0:-0.5\n0 0:0.25 1:\xff\n")
         cfg = self.write_config(
             tmp_path,
             f"data_path = {data}\nout_dir = {tmp_path}/out\nratio = 1.0\nsolver = plugin\n",
         )
-        assert main(["fit", cfg]) == 2
-        assert f"error: dataset {str(data)!r}: line 4: byte 0xff is not " in (
-            capsys.readouterr().err
-        )
+        if through == "file":
+            assert main(["fit", cfg]) == 2
+            path, err = str(data), capsys.readouterr().err
+        else:
+            # a pipe's bytes cannot be read a second time to find the line
+            src = os.path.dirname(os.path.dirname(nondecomp.__file__))
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "nondecomp", "fit", cfg, "--data_path=/dev/stdin"],
+                input=data.read_bytes(), capture_output=True, env=env,
+            )
+            assert proc.returncode == 2
+            path, err = "/dev/stdin", proc.stderr.decode()
+        assert f"error: dataset {path!r}: line 4: byte 0xff is not " in err
         assert not os.path.exists(tmp_path / "out" / "model.txt")
 
     def test_undecodable_model_names_file_and_line(self, tmp_path, capsys):
@@ -1060,9 +1075,6 @@ class TestCli:
         assert "usage:" in capsys.readouterr().out
 
     def test_module_execution(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "nondecomp", "--help"],
             capture_output=True, text=True,
