@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import TASKS, ExperimentConfig, UsageError, parse_config_text, read_input
+from .config import TASKS, ExperimentConfig, UsageError, decoded, parse_config_text, read_input
 from .estimator import NumericalError
 from .harness import run_task
 
@@ -54,7 +54,8 @@ def main(argv=None):
             return 0
         task, config_path, overrides = parsed
         file_values = read_input(
-            config_path, "config", lambda fh: parse_config_text(fh.read()), UsageError
+            config_path, "config",
+            lambda fh, data: parse_config_text(decoded(fh, data).read()), UsageError,
         )
         cfg = ExperimentConfig.from_sources(task, file_values, overrides)
         run_task(cfg)

@@ -9,13 +9,14 @@ traceable to the exact configuration that produced them.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import typing
 from dataclasses import dataclass, fields
 
 __all__ = [
     "ExperimentConfig", "UsageError", "TASKS", "parse_config_text", "read_input",
-    "undecodable_line",
+    "decoded", "undecodable_line",
 ]
 
 TASKS = ("synth", "fit", "threshold", "eval", "convergence", "compare", "rate_check")
@@ -26,22 +27,43 @@ class UsageError(ValueError):
 
 
 def read_input(path, what, parse, error):
-    """parse(fh) of the input file ``path``; every failure names the file.
+    """parse(fh, data) of the input file ``path``, open as the text file
+    ``fh``, whose bytes ``data`` are read here, once; ``decoded(fh, data)``
+    is their text. Every failure names the file.
 
     A file that cannot be opened or read is a UsageError. A byte that is not
     text, or a format error of ``parse``, raises ``error`` (a format error
-    class) prefixed with the path, and says on which line."""
+    class) prefixed with the path, and says on which line. That line is
+    found in ``data``: a pipe cannot be read a second time."""
+    data = b""
     try:
         with open(path) as fh:
-            return parse(fh)
+            data = fh.buffer.read()
+            return parse(fh, data)
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            data = fh.read()
         raise error(f"{what} {path!r}: {undecodable_line(data, exc)}") from None
     except error as exc:
         raise error(f"{what} {path!r}: {exc}") from None
+
+
+class _FileBytes(io.BytesIO):
+    """Bytes read from an open file, as a stream whose fileno() is still
+    that file's, so os.fstat of it sees the file they came from."""
+
+    def __init__(self, data, fh):
+        super().__init__(data)
+        self._fileno = fh.fileno()
+
+    def fileno(self):
+        return self._fileno
+
+
+def decoded(fh, data):
+    """The bytes ``data`` read from the open text file ``fh``, as a text
+    stream that decodes them as ``fh`` does."""
+    return io.TextIOWrapper(_FileBytes(data, fh), encoding=fh.encoding, errors=fh.errors)
 
 
 def undecodable_line(data, exc):

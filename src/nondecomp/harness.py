@@ -12,7 +12,6 @@ file contents.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import stat
 import tempfile
@@ -22,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import UsageError, read_input, undecodable_line
+from .config import UsageError, decoded, read_input
 from .dataset_io import (
     DatasetFormatError,
     ModelFormatError,
@@ -173,12 +172,12 @@ def _synthetic_spec(cfg, seed):
 _PARSED_SUFFIX = ".parsed"
 
 
-def _parse_dataset_file(fh):
-    """The dataset of the open file ``fh``: from the sidecar beside it when
-    that holds the arrays of these exact bytes, else parse_dataset of the
-    bytes, decoded as ``fh`` decodes them. A parse rewrites the sidecar of
-    a regular file where the directory lets it."""
-    data = fh.buffer.read()
+def _parse_dataset_file(fh, data):
+    """The dataset of the bytes ``data`` read from the open file ``fh``:
+    from the sidecar beside it when that holds the arrays of these exact
+    bytes, else parse_dataset of the bytes, decoded as ``fh`` decodes them.
+    A parse rewrites the sidecar of a regular file where the directory
+    lets it."""
     key = text_key(data, fh.encoding)
     mode = os.fstat(fh.fileno()).st_mode
     sidecar = fh.name + _PARSED_SUFFIX if stat.S_ISREG(mode) else None
@@ -191,12 +190,7 @@ def _parse_dataset_file(fh):
             stored = b""
         ds = read_parsed(stored, key)
     if ds is None:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding=fh.encoding, errors=fh.errors)
-        try:
-            ds = parse_dataset(text)
-        except UnicodeDecodeError as exc:
-            # the line is found in these bytes: a pipe cannot be read again
-            raise DatasetFormatError(undecodable_line(data, exc)) from None
+        ds = parse_dataset(decoded(fh, data))
         if sidecar is not None:
             _keep_parsed(sidecar, ds, key, mode)
     return ds
@@ -377,7 +371,9 @@ def _trial(cfg, prob, seed, ratio, method, specs, X_e, Y_e):
 def _read_model(cfg, d, L):
     """Load the configured model, which must map d features to L labels."""
     path = _model_path(cfg)
-    model = read_input(path, "model", load_model, ModelFormatError)
+    model = read_input(
+        path, "model", lambda fh, data: load_model(decoded(fh, data)), ModelFormatError
+    )
     if isinstance(model, FactoredModel):
         dims = (model.W1.shape[0], model.W2.shape[0])
     else:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,58 @@ def random_instance(rng, n, d, L, frac=0.7, loss="logistic"):
     else:
         values = rng.integers(0, 2, size=m).astype(float)
     return X, ObservationSet(n, L, rows, cols, values)
+
+
+def plugin_reference(X, obs, ridge):
+    """fit_plugin_baseline's damped Newton fit, from W = 0 with the same
+    step, search and stop rule, but with each label's Hessian block summed
+    in float64 over that label's own entries and solved on its own.
+    Returns (W, objective trace, stop reason)."""
+    loss = LogisticLoss()
+    n, d = X.shape
+    y = obs.values
+    weight = 1.0 / np.bincount(obs.cols, minlength=obs.L)[obs.cols]
+
+    def scores(W):
+        return (X @ W)[obs.rows, obs.cols]
+
+    def fval(W):
+        return float(np.sum(weight * loss.value(scores(W), y))) + 0.5 * ridge * float(np.sum(W * W))
+
+    W = np.zeros((d, obs.L))
+    F = fval(W)
+    trace = [F]
+    for _ in range(50):
+        t = scores(W)
+        U = np.zeros((n, obs.L))
+        U[obs.rows, obs.cols] = weight * loss.grad_t(t, y)
+        G = X.T @ U + ridge * W
+        W_new, F_new = W, F
+        if np.linalg.norm(G) >= 1e-10:
+            h = weight * loss.hess_t(t, y)
+            D = np.empty_like(G)
+            for j in range(obs.L):
+                mine = obs.cols == j
+                A = X[obs.rows[mine]]
+                block = A.T @ (h[mine, None] * A) + (ridge + 1e-12) * np.eye(d)
+                D[:, j] = np.linalg.solve(block, G[:, j])
+            slope = float(np.vdot(G, D))
+            if slope <= 0.0:
+                D, slope = G, float(np.vdot(G, G))
+            step = 1.0
+            while True:
+                if step <= 1e-12:
+                    return W, trace, "line_search"
+                W_new = W - step * D
+                F_new = fval(W_new)
+                if F_new <= F - 1e-4 * step * slope:
+                    break
+                step *= 0.5
+        trace.append(F_new)
+        if abs(F - F_new) <= 1e-14 * max(1.0, F):
+            return W_new, trace, "rel_tol"
+        W, F = W_new, F_new
+    return W, trace, "max_iters"
 
 
 def pu_runaway_problem():
@@ -151,6 +204,45 @@ class TestDampedNewton:
         step = (w0 - w) / g0
         assert step[0] > 0.0 and step[0] == pytest.approx(step[1], rel=1e-12)
         assert f == fval(w) < fval(w0)
+
+
+    @pytest.mark.parametrize("fit", ["plugin", "alt_min"])
+    def test_linearization_reads_the_accepted_trials_scores(self, fit, monkeypatch):
+        # the line search's last evaluation is of the trial it accepts; the
+        # next step's derivatives must read those very scores, not scores
+        # formed again from the same iterate
+        import nondecomp.estimator as estimator
+
+        calls = []
+
+        class Recording(LogisticLoss):
+            def value(self, t, y):
+                calls.append(("value", t))
+                return super().value(t, y)
+
+            def grad_t(self, t, y):
+                calls.append(("grad_t", t))
+                return super().grad_t(t, y)
+
+        rng = np.random.default_rng(27)
+        X, obs = random_instance(rng, 40, 4, 6, frac=0.5)
+        if fit == "plugin":
+            monkeypatch.setattr(estimator, "LogisticLoss", Recording)
+            report = fit_plugin_baseline(X, obs, ridge=1e-3)[1]
+        else:
+            report = fit_alt_min(X, obs, SolverConfig(loss=Recording(), max_iters=20), 2)[1]
+        assert report.iterations >= 2
+        evaluated = None
+        linearized = 0
+        for kind, t in calls:
+            if kind == "value":
+                evaluated = t
+            elif evaluated is not None:
+                # alt_min's spectral start takes derivatives at 0 before
+                # any evaluation
+                assert t is evaluated
+                linearized += 1
+        assert linearized >= report.iterations
 
 
 class TestConjugateGradient:
@@ -1033,12 +1125,25 @@ class TestPluginBaseline:
         assert report.objective_trace == ref_report.objective_trace
         assert np.all(np.isfinite(model.W))
 
-    def test_hessian_blocks_match_per_label_sums(self, monkeypatch):
+    @pytest.mark.parametrize("tiny", [1.0, 1e-45], ids=["plain", "tiny_label"])
+    def test_hessian_blocks_match_per_label_sums(self, monkeypatch, tiny):
         # the blocks are summed over rows in blocks of 4: two full blocks and
         # a last one of two rows. Label 0 sees every row, label 1 some,
         # label 2 one entry (in the last block) and label 3 none. The blocks
-        # of the first two Newton steps are checked, so the kept n x L array
-        # has been rewritten once, against sums formed here entry by entry
+        # of the first two Newton steps are checked against sums formed here
+        # entry by entry.
+        # With ``tiny`` label 1's curvatures are all below 1e-45, under the
+        # float32 range, while label 0's reach 1 / (4 n): each label's own
+        # power-of-two scale must keep its block from flushing to zero.
+        # The sums run in float32 on inputs scaled by powers of two, which is
+        # exact, so each term h x_a x_b carries at most n + 4 roundings of
+        # unit u = 2^-24: three inputs rounded to float32, two products and
+        # at most n - 1 additions. An entry is then within
+        # gamma_(n+4) = (n + 4) u / (1 - (n + 4) u) times sum |h x_a x_b| of
+        # its exact value (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., section 3.1). The float64 sums formed here,
+        # and the damping added in float64, round with unit 2^-53 on at most
+        # n + 2 operations
         import nondecomp.estimator as estimator
 
         monkeypatch.setattr(estimator, "_ROW_BLOCK", 4)
@@ -1050,11 +1155,12 @@ class TestPluginBaseline:
         cols = np.repeat([0, 1, 2], [n, some.size, 1])
         obs = ObservationSet(n, L, rows, cols, rng.integers(0, 2, size=rows.size).astype(float))
         scores, blocks = [], []
+        factor = np.where(cols == 1, tiny, 1.0)
 
         class Recording(LogisticLoss):
             def hess_t(self, t, y):
                 scores.append(np.array(t))
-                return super().hess_t(t, y)
+                return super().hess_t(t, y) * factor
 
         def recording_solve(H, G):
             blocks.append(H.copy())
@@ -1065,14 +1171,59 @@ class TestPluginBaseline:
         fit_plugin_baseline(X, obs, ridge=ridge)
         assert len(blocks) >= 2 and len(scores) == len(blocks)
         counts = np.bincount(obs.cols, minlength=L)
+        gamma32 = (n + 4) * 2.0**-24 / (1 - (n + 4) * 2.0**-24)
+        gamma64 = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
         for t, H in zip(scores[:2], blocks[:2]):
-            h = LogisticLoss().hess_t(t, obs.values) / counts[obs.cols]
+            h = LogisticLoss().hess_t(t, obs.values) * factor / counts[obs.cols]
             expect = np.repeat((ridge + 1e-12) * np.eye(d)[None], L, axis=0)
+            size = np.zeros_like(expect)
             for e, (i, j) in enumerate(zip(obs.rows, obs.cols)):
-                expect[j] += h[e] * np.outer(X[i], X[i])
-            np.testing.assert_allclose(H, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+                term = h[e] * np.outer(X[i], X[i])
+                expect[j] += term
+                size[j] += np.abs(term)
+            bound = gamma32 * size + gamma64 * (size + np.abs(expect))
+            assert np.all(np.abs(H - expect) <= bound)
         # the unobserved label's block is the damping alone
         np.testing.assert_array_equal(blocks[1][3], (ridge + 1e-12) * np.eye(d))
+
+    # one scale for every column, then columns at 1e150, 1e-150, 1 and 1,
+    # and at 1e20, 1e-20, 1 and 1
+    FEATURE_SCALES = [[10.0**e] * 4 for e in (-300, -155, -20, 0, 20, 100, 150)] + [
+        [1e150, 1e-150, 1.0, 1.0], [1e20, 1e-20, 1.0, 1.0],
+    ]
+
+    @pytest.mark.parametrize("scale", FEATURE_SCALES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
+    def test_float32_blocks_match_a_float64_reference_at_every_scale(self, scale):
+        # the blocks are formed in float32 on features scaled by powers of
+        # two, so they must neither overflow nor flush at any feature scale
+        # the float64 range holds, and the fit must stop as a float64 fit
+        # does, at the same W. At 1e-20 and below the gradient at W = 0 is
+        # already under the fit's absolute tolerance 1e-10, so both stop
+        # before forming a block. A weight W_aj is measured in units of
+        # 1 / max |x_a|, so that columns of every scale count
+        rng = np.random.default_rng(25)
+        X, obs = random_instance(rng, 60, 4, 6, frac=0.5)
+        X *= np.asarray(scale)
+        model, report = fit_plugin_baseline(X, obs, ridge=1e-3)
+        W, trace, stop_reason = plugin_reference(X, obs, ridge=1e-3)
+        assert (report.stop_reason, report.iterations) == (stop_reason, len(trace) - 1)
+        unit = np.abs(X).max(axis=0)[:, None]
+        assert np.abs((model.W - W) * unit).max() <= 1e-9 * np.abs(W * unit).max()
+
+    def test_peak_memory_at_walkthrough_size(self):
+        # one fit at n = 2000, L = 200, d = 50 and ratio 0.3 peaks at about
+        # 11.4 MiB above its inputs (12.8 with the blocks summed in
+        # float64). One more kept n x L float64 array (3.1 MiB) or a kept
+        # float64 copy of the pair products (20 MB) would pass the bound
+        rng = np.random.default_rng(26)
+        X, obs = random_instance(rng, 2000, 50, 200, frac=0.3)
+        tracemalloc.start()
+        try:
+            fit_plugin_baseline(X, obs, ridge=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 2**20
 
     def test_stacked_solve_matches_per_label_solves(self):
         rng = np.random.default_rng(23)

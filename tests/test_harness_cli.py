@@ -642,6 +642,19 @@ class TestCli:
         assert main(["eval", cfg]) == 2
         assert f"error: model {str(model)!r}: line 3: bad theta 'abc'" in capsys.readouterr().err
 
+    @staticmethod
+    def run_piped(args, data):
+        """The exit code and stderr of the CLI run with ``data`` on its
+        standard input, in a new process, for an input read from /dev/stdin:
+        a pipe's bytes cannot be read a second time to find a bad line."""
+        src = os.path.dirname(os.path.dirname(nondecomp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nondecomp", *args], input=data, capture_output=True, env=env,
+        )
+        return proc.returncode, proc.stderr.decode()
+
     @pytest.mark.parametrize("through", ["file", "pipe"])
     def test_undecodable_dataset_names_file_and_line(self, tmp_path, capsys, through):
         data = tmp_path / "bytes.txt"
@@ -654,20 +667,14 @@ class TestCli:
             assert main(["fit", cfg]) == 2
             path, err = str(data), capsys.readouterr().err
         else:
-            # a pipe's bytes cannot be read a second time to find the line
-            src = os.path.dirname(os.path.dirname(nondecomp.__file__))
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                filter(None, (src, os.environ.get("PYTHONPATH")))))
-            proc = subprocess.run(
-                [sys.executable, "-m", "nondecomp", "fit", cfg, "--data_path=/dev/stdin"],
-                input=data.read_bytes(), capture_output=True, env=env,
-            )
-            assert proc.returncode == 2
-            path, err = "/dev/stdin", proc.stderr.decode()
+            path = "/dev/stdin"
+            code, err = self.run_piped(["fit", cfg, f"--data_path={path}"], data.read_bytes())
+            assert code == 2
         assert f"error: dataset {path!r}: line 4: byte 0xff is not " in err
         assert not os.path.exists(tmp_path / "out" / "model.txt")
 
-    def test_undecodable_model_names_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("through", ["file", "pipe"])
+    def test_undecodable_model_names_file_and_line(self, tmp_path, capsys, through):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
         assert main(["fit", cfg]) == 0
         model = tmp_path / "out" / "model.txt"
@@ -675,10 +682,15 @@ class TestCli:
         lines[2] = b"theta \xff"
         model.write_bytes(b"\n".join(lines))
         capsys.readouterr()
-        assert main(["threshold", cfg]) == 2
-        assert f"error: model {str(model)!r}: line 3: byte 0xff is not " in (
-            capsys.readouterr().err
-        )
+        if through == "file":
+            assert main(["threshold", cfg]) == 2
+            path, err = str(model), capsys.readouterr().err
+        else:
+            path = "/dev/stdin"
+            code, err = self.run_piped(["threshold", cfg, f"--model_path={path}"],
+                                       model.read_bytes())
+            assert code == 2
+        assert f"error: model {path!r}: line 3: byte 0xff is not " in err
 
     @pytest.mark.parametrize("extra, where", [
         ("not a pair\n", "line 11: expected 'key = value'"),
@@ -690,13 +702,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: config {cfg!r}: {where}\n")
         assert not os.path.exists(tmp_path / "out")
 
-    def test_undecodable_config_names_file_and_line(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
-        path.write_bytes(self.BASE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path}\n".encode())
-        assert main(["fit", str(path)]) == 2
-        assert f"error: config {str(path)!r}: line 10: byte 0xe9 is not " in (
-            capsys.readouterr().err
-        )
+    @pytest.mark.parametrize("through", ["file", "pipe"])
+    def test_undecodable_config_names_file_and_line(self, tmp_path, capsys, through):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(self.BASE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path}\n".encode())
+        if through == "file":
+            assert main(["fit", str(cfg)]) == 2
+            path, err = str(cfg), capsys.readouterr().err
+        else:
+            path = "/dev/stdin"
+            code, err = self.run_piped(["fit", path], cfg.read_bytes())
+            assert code == 2
+        assert f"error: config {path!r}: line 10: byte 0xe9 is not " in err
 
     @pytest.mark.parametrize("task", ["threshold", "eval"])
     def test_nonpositive_gamma_clip_exit_code(self, tmp_path, capsys, task):
@@ -970,11 +987,11 @@ class TestCli:
         assert main(["compare", str(cfg), *args, "--lambda_reg=0.05"]) == 0
         assert os.path.exists(out / "compare.csv")
 
-    @pytest.mark.parametrize("exponent, code", [(10, 1), (50, 1), (2, 0)])
-    def test_fit_that_never_leaves_its_start_exits_1(self, tmp_path, capsys, exponent, code):
-        # prox_grad's backtracking gives up at an absolute step, and the step
-        # it needs shrinks as 1 / scale**2, so large features stop it at its
-        # zero start; that fit must not exit 0 with the start saved
+    @staticmethod
+    def fit_scaled(tmp_path, exponent, solver):
+        """Exit code of ``fit`` with ``solver`` on 60 x 4 random features
+        times 10**exponent and 6 random labels, and the largest |feature|
+        as the error message prints it."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 4)) * 10.0**exponent
         Y = rng.integers(0, 2, size=(60, 6))
@@ -985,20 +1002,44 @@ class TestCli:
                 [set(np.flatnonzero(row).tolist()) for row in Y],
             ), fh)
         cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "synth_small.cfg"
-        out = tmp_path / "out"
-        args = [f"--data_path={data}", "--ratio=0.5", "--k=2", "--solver=prox_grad",
-                f"--out_dir={out}"]
-        assert main(["fit", str(cfg), *args]) == code
+        args = [f"--data_path={data}", "--ratio=0.5", "--k=2", f"--solver={solver}",
+                f"--out_dir={tmp_path}/out"]
+        return main(["fit", str(cfg), *args]), f"{np.abs(X).max():.6g}"
+
+    @pytest.mark.parametrize("exponent, code", [(10, 1), (50, 1), (2, 0)])
+    def test_fit_that_never_leaves_its_start_exits_1(self, tmp_path, capsys, exponent, code):
+        # prox_grad's backtracking gives up at an absolute step, and the step
+        # it needs shrinks as 1 / scale**2, so large features stop it at its
+        # zero start; that fit must not exit 0 with the start saved
+        status, top = self.fit_scaled(tmp_path, exponent, "prox_grad")
+        assert status == code
         captured = capsys.readouterr()
         if code == 0:
             assert "stop=rel_tol" in captured.out
             return
-        top = f"{np.abs(X).max():.6g}"
         assert captured.err == (
             "numerical failure: prox_grad took no step from its start: its line search "
             f"failed at iteration 0; the largest |feature| is {top}, so rescale the features\n"
         )
-        assert not os.path.exists(out / "model.txt")
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
+
+    @pytest.mark.parametrize("exponent, code", [(155, 1), (150, 0)])
+    def test_plugin_blocks_past_the_float64_range_exit_1(self, tmp_path, capsys, exponent, code):
+        # a plugin Hessian block entry sums h x_a x_b, with a label's h
+        # summing to at most 1/4, so at 1e155 it can pass the float64 range.
+        # The fit says so before any step, and warns nothing on the way, as
+        # the suite turns a RuntimeWarning into an error
+        status, top = self.fit_scaled(tmp_path, exponent, "plugin")
+        assert status == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "stop=rel_tol" in captured.out
+            return
+        assert captured.err == (
+            "numerical failure: the plugin's Hessian blocks overflow: the largest |feature| "
+            f"is {top}, so rescale the features\n"
+        )
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
 
     def test_model_path_may_lie_in_the_new_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, self.BASE + f"out_dir = {tmp_path}/out\n")
@@ -1157,7 +1198,7 @@ class TestParsedSidecar:
     @staticmethod
     def read(path):
         with open(path) as fh:
-            return harness._parse_dataset_file(fh)
+            return harness._parse_dataset_file(fh, fh.buffer.read())
 
     def test_hit_gives_the_arrays_of_a_parse(self, tmp_path, monkeypatch):
         path = self.dataset(tmp_path)
