@@ -7,7 +7,11 @@ first bad line of a malformed one. ``write_dataset`` refuses a dataset
 whose text ``parse_dataset`` would reject, so parse(write(ds)) always
 gives ds back. ``write_parsed`` and ``read_parsed`` keep a parsed
 dataset's arrays in a sidecar file keyed by the SHA-256 of its text, so a
-later read of the same bytes skips the parse.
+later read of the same bytes skips the parse; the arrays it reads back are
+read-only views of the sidecar's bytes. Each array is held once: the
+constructors fill the CSR arrays straight from their input, and the
+checks mark row starts in one byte per entry instead of naming each
+entry's row.
 
 Everything written here is byte-deterministic for fixed inputs: floats are
 formatted with round-tripping precision and no timestamps or environment
@@ -78,14 +82,17 @@ class SparseDataset:
     """
 
     def __init__(self, n, d, L, features, labels):
-        pairs = list(chain.from_iterable(features))
-        # a set need not iterate in order; sorting each row here is cheaper than a lexsort
-        labs = list(chain.from_iterable(map(sorted, labels)))
+        # the counts are known from the row lengths, so each array is filled
+        # straight from the rows, with no flat list of the entries
+        indptr, label_indptr = _indptr(map(len, features)), _indptr(map(len, labels))
+        size = int(indptr[-1])
         self._set(
-            n, d, L, _indptr(map(len, features)),
-            np.fromiter(map(itemgetter(0), pairs), np.int64, len(pairs)),
-            np.fromiter(map(itemgetter(1), pairs), float, len(pairs)),
-            _indptr(map(len, labels)), np.fromiter(labs, np.int64, len(labs)),
+            n, d, L, indptr,
+            np.fromiter(map(itemgetter(0), chain.from_iterable(features)), np.int64, size),
+            np.fromiter(map(itemgetter(1), chain.from_iterable(features)), float, size),
+            # a set need not iterate in order; sorting each row here is cheaper than a lexsort
+            label_indptr, np.fromiter(chain.from_iterable(map(sorted, labels)), np.int64,
+                                      int(label_indptr[-1])),
         )
 
     @classmethod
@@ -136,13 +143,20 @@ def _rows(indptr):
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def _row_starts(indptr, size):
+    """Whether each of the ``size`` stored entries begins its row; a mask
+    of one byte per entry, where ``_rows`` takes eight."""
+    starts = np.zeros(size + 1, dtype=bool)
+    starts[indptr[:-1]] = True
+    return starts[:size]
+
+
 def _row_order(indptr, indices):
     """The stable permutation that sorts each row's entries by index, or
     None when every row's indices already strictly increase."""
-    rows = _rows(indptr)
-    if np.all((rows[1:] > rows[:-1]) | (indices[1:] > indices[:-1])):
+    if np.all(_row_starts(indptr, indices.size)[1:] | (indices[1:] > indices[:-1])):
         return None
-    return np.lexsort((indices, rows))
+    return np.lexsort((indices, _rows(indptr)))
 
 
 def _fault(ds):
@@ -151,19 +165,21 @@ def _fault(ds):
     counts = (ds.indptr.size - 1, ds.label_indptr.size - 1)
     if counts != (ds.n, ds.n):
         return f"{counts[0]} feature rows and {counts[1]} label rows, but n = {ds.n}"
-    rows, labs = _rows(ds.indptr), _rows(ds.label_indptr)
     j, v, k = ds.indices, ds.values, ds.label_indices
     found = []
-    for at, bad, say in (
-        (rows, ~np.isfinite(v), lambda p: f"non-finite feature value {float(v[p])!r}"),
-        (rows, (j < 0) | (j >= ds.d), lambda p: f"feature index {j[p]} out of range [0, {ds.d})"),
-        (rows, np.r_[False, (rows[1:] == rows[:-1]) & (j[1:] == j[:-1])],
+    for indptr, bad, say in (
+        (ds.indptr, ~np.isfinite(v), lambda p: f"non-finite feature value {float(v[p])!r}"),
+        (ds.indptr, (j < 0) | (j >= ds.d),
+         lambda p: f"feature index {j[p]} out of range [0, {ds.d})"),
+        (ds.indptr, np.r_[False, ~_row_starts(ds.indptr, j.size)[1:] & (j[1:] == j[:-1])],
          lambda p: f"duplicate feature index {j[p]}"),
-        (labs, (k < 0) | (k >= ds.L), lambda p: f"label index {k[p]} out of range [0, {ds.L})"),
+        (ds.label_indptr, (k < 0) | (k >= ds.L),
+         lambda p: f"label index {k[p]} out of range [0, {ds.L})"),
     ):
         if bad.any():
             p = int(np.argmax(bad))
-            found.append((int(at[p]), say(p)))
+            # the last row to start at or before p; empty rows start there too
+            found.append((int(np.searchsorted(indptr, p, "right")) - 1, say(p)))
     if not found:
         return None
     row, reason = min(found, key=itemgetter(0))
@@ -175,8 +191,9 @@ def _fail(line_no, message):
 
 
 # rows that write_dataset formats at a time, so a file's token strings are
-# never all held at once
-_BLOCK_ROWS = 256
+# never all held at once; at the walkthrough's 50 features a row, 64 rows
+# write as fast as 256 and hold a quarter of the strings
+_BLOCK_ROWS = 64
 
 
 def parse_dataset(stream):
@@ -314,18 +331,30 @@ def read_parsed(data, key):
     """The dataset that the sidecar bytes ``data`` hold for the text keyed
     ``key``, or None unless they are a whole sidecar of this format and
     version, for that key, whose payload matches its digest and holds
-    arrays that parse_dataset could have returned."""
+    arrays that parse_dataset could have returned.
+
+    The dataset's arrays are read-only views of ``data``, not copies. A
+    view starts wherever its .npy header ends, so it may be unaligned;
+    numpy copies where an operation needs aligned memory."""
     end = data.find(b"\n") + 1
     if not end or data[:end - 1] != _parsed_head(key, memoryview(data)[end:]):
         return None
     stream = io.BytesIO(data)  # shares the bytes of ``data``; no copy
     stream.seek(end)
+    arrays = []
     try:
-        arrays = [np.lib.format.read_array(stream, allow_pickle=False) for _ in _PARSED_DTYPES]
-    except (ValueError, EOFError, MemoryError):
+        for dtype in _PARSED_DTYPES:
+            # each array's header, read without its data and so without unpickling
+            if np.lib.format.read_magic(stream) != (1, 0):
+                return None
+            shape, fortran, stored = np.lib.format.read_array_header_1_0(stream)
+            if stored != dtype or fortran or len(shape) != 1 or not 0 <= shape[0] <= len(data):
+                return None
+            arrays.append(np.frombuffer(data, dtype, shape[0], stream.tell()))
+            stream.seek(arrays[-1].nbytes, io.SEEK_CUR)
+    except ValueError:
         return None
-    if (stream.read(1) or [a.dtype for a in arrays] != list(_PARSED_DTYPES)
-            or any(a.ndim != 1 for a in arrays) or arrays[0].size != 3):
+    if stream.tell() != len(data) or arrays[0].size != 3:
         return None
     (n, d, L), indptr, indices, values, label_indptr, label_indices = arrays
     if (n < 0 or d < 1 or L < 1 or values.size != indices.size

@@ -520,7 +520,10 @@ def _newton_step(fval, linearize, gtol):
         step = 1.0
         while step > 1e-12:
             w_new = w - step * direction
-            f_new = fval(w_new)
+            # a trial whose objective overflows to inf or nan fails the test
+            # below and is rejected like any other, so it need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_new = fval(w_new)
             if f_new <= f - 1e-4 * step * slope:
                 return w_new, f_new
             step *= 0.5
@@ -734,7 +737,9 @@ def fit_plugin_baseline(X, obs, ridge):
     a <= b are column j of R = P^T Hm, where row i of P holds the products
     x_ia x_ib; P is formed and summed ``_ROW_BLOCK`` rows at a time, and
     the entries (b, a) mirror them. A step's set-up costs
-    O(n L d (d + 1) / 2) in BLAS-3, whatever the observed fraction.
+    O(n L d (d + 1) / 2) in BLAS-3, whatever the observed fraction. R is
+    scaled into the blocks a chunk of labels at a time, so no float64 copy
+    of R is held beside them.
 
     R alone is formed in float32, which halves the bytes its GEMMs move
     and about halves their time: at n = 2000, L = 200, d = 50 and ratio
@@ -777,6 +782,9 @@ def fit_plugin_baseline(X, obs, ridge):
     XT = np.ascontiguousarray(np.ldexp(X.T, -e[:, None]), dtype=np.float32)
     a, b = np.triu_indices(d)
     pair_e = (e[a] + e[b])[:, None]
+    # R is scaled back into H over chunks of about 2^14 entries: smaller
+    # chunks cost time, larger ones memory
+    labels_per_chunk = max(1, 2**14 // a.size)
     diag = np.arange(d)
     # one n x L array holds the gradient weights and then Hm of each step
     on_entries = _entry_writer(obs)
@@ -806,9 +814,14 @@ def fit_plugin_baseline(X, obs, ridge):
             for start in range(0, n, _ROW_BLOCK):
                 rows = slice(start, start + _ROW_BLOCK)
                 R += (XT[a, rows] * XT[b, rows]) @ Hm[rows].astype(np.float32)
-            R = np.ldexp(R, pair_e + f, dtype=float)
+            # R goes into H a chunk of labels at a time, scaled back by one
+            # ldexp per entry: two would round twice wherever the first
+            # result is subnormal. No float64 copy of R is kept beside H
             H = np.empty((obs.L, d, d))
-            H[:, a, b] = H[:, b, a] = R.T
+            for j in range(0, obs.L, labels_per_chunk):
+                cols = slice(j, j + labels_per_chunk)
+                H[cols, a, b] = H[cols, b, a] = np.ldexp(R[:, cols], pair_e + f[cols],
+                                                         dtype=float).T
             H[:, diag, diag] += ridge + 1e-12
             return _solve_blocks(H, G)
 

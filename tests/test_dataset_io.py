@@ -14,6 +14,7 @@ from nondecomp.dataset_io import (
     PlotSeries,
     ResultRow,
     SparseDataset,
+    _fault,
     emit_plot,
     load_model,
     mask_observations,
@@ -31,10 +32,13 @@ from nondecomp.sampler import OmegaDistribution, sample_omega
 SAMPLE = "2 3 2\n0 0:1.0 2:-0.5\n1 1:2.0\n"
 
 
+ARRAY_NAMES = ("indptr", "indices", "values", "label_indptr", "label_indices")
+
+
 def assert_same_arrays(got, want):
     """The five CSR arrays of two datasets agree byte for byte, so -0.0 and
     0.0 differ."""
-    for name in ("indptr", "indices", "values", "label_indptr", "label_indices"):
+    for name in ARRAY_NAMES:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -162,6 +166,21 @@ class TestWriteDataset:
             write_dataset(ds, buf)
         assert str(err.value) == f"cannot write dataset: {message}"
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[], [], [(5, 1.0)], [(1, 1.0), (1, 2.0)]], [set()] * 4,
+         "row 2: feature index 5 out of range [0, 2)"),
+        ([[], [], [(1, 1.0), (1, 2.0)], []], [set(), set(), set(), {2}],
+         "row 2: duplicate feature index 1"),
+        ([[(0, 1.0)], [], [], [(0, float("inf"))]], [set(), set(), {2}, set()],
+         "row 2: label index 2 out of range [0, 2)"),
+    ], ids=["after_empty_rows", "duplicate_before_label", "label_before_value"])
+    def test_names_the_first_row_at_fault(self, features, labels, message):
+        # an empty row shares its start with the next row, which holds the entry
+        ds = SparseDataset(n=4, d=2, L=2, features=features, labels=labels)
+        with pytest.raises(ValueError) as err:
+            write_dataset(ds, io.StringIO())
+        assert str(err.value) == f"cannot write dataset: {message}"
 
 
 class TestBenchDatasetApi:
@@ -537,6 +556,40 @@ class TestParsedSidecar:
     def test_wrong_version_with_its_own_digest_is_refused(self):
         assert read_parsed(forged(sample_arrays(), version=b"2"), KEY) is None
 
+    def test_hit_holds_read_only_views_of_the_bytes(self):
+        want = parse_dataset(io.StringIO(rows_300("0 1:1.2", 290)))
+        data = sidecar(want)
+        ds = read_parsed(data, KEY)
+        arrays = [getattr(ds, name) for name in ARRAY_NAMES]
+        assert all(a.base is data and not a.flags.writeable for a in arrays)
+        # the header line's length puts the payload off an 8-byte boundary
+        assert not any(a.flags.aligned for a in arrays)
+        # every reader of a dataset takes the views as it takes parsed arrays
+        assert bits(ds.to_dense_X()) == bits(want.to_dense_X())
+        assert ds.label_matrix().tobytes() == want.label_matrix().tobytes()
+        assert _fault(ds) is None
+        got, text = io.StringIO(), io.StringIO()
+        write_dataset(ds, got)
+        write_dataset(want, text)
+        assert got.getvalue() == text.getvalue()
+
+    def test_fault_names_a_row_of_read_only_unaligned_arrays(self):
+        # _fault reads the arrays only, so views like those of a hit serve
+        indptr, indices, values, label_indptr, label_indices = (
+            unaligned_view(a) for a in ([0, 1, 1, 3], [0, 0, 1], [1.0, 2.0, np.inf],
+                                        [0, 0, 0, 1], [2]))
+        ds = SparseDataset.from_arrays(3, 2, 2, indptr, indices, values, label_indptr,
+                                       label_indices)
+        assert ds.values.base is not None and not ds.values.flags.aligned
+        assert _fault(ds) == "row 2: non-finite feature value inf"
+
+
+def unaligned_view(values):
+    """A read-only view of ``values``, as int64 or float64, that starts one
+    byte into its buffer."""
+    a = np.asarray(values, dtype=float if isinstance(values[0], float) else np.int64)
+    return np.frombuffer(b"\0" + a.tobytes(), a.dtype, a.size, 1)
+
 
 class TestRoundTripProperties:
     @settings(max_examples=40)
@@ -714,6 +767,71 @@ def walkthrough_text():
     buf = io.StringIO()
     write_dataset(ds, buf)
     return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def walkthrough():
+    """The walkthrough-size text, its dataset, and that dataset's sidecar."""
+    text = walkthrough_text()
+    ds = parse_dataset(io.StringIO(text))
+    return text, ds, sidecar(ds)
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class Discard:
+    """A text stream that keeps nothing, so only the writer's memory counts."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestDatasetMemory:
+    """Peaks at the walkthrough's size. Each bound lies between the measured
+    peak and the peak of the copies each array used to be held in."""
+
+    def test_list_constructor_holds_the_arrays_once(self, walkthrough):
+        # 3.7 MiB for 3.1 MiB of CSR arrays; a flat list of the
+        # (index, value) pairs and one of the labels took 7.5 MiB
+        _, want, _ = walkthrough
+        features = [list(zip(want.indices[a:b].tolist(), want.values[a:b].tolist()))
+                    for a, b in zip(want.indptr[:-1], want.indptr[1:])]
+        labels = [set(want.label_indices[a:b].tolist())
+                  for a, b in zip(want.label_indptr[:-1], want.label_indptr[1:])]
+        ds, peak = traced_peak(lambda: SparseDataset(want.n, want.d, want.L, features, labels))
+        assert_same_arrays(ds, want)
+        assert peak <= 1.5 * sum(getattr(ds, name).nbytes for name in ARRAY_NAMES)
+
+    def test_fault_check_holds_no_row_per_entry(self, walkthrough):
+        # 0.9 MiB, 1.1 bytes per index byte; the row of every stored entry,
+        # as int64, took 3.2 MiB
+        _, ds, _ = walkthrough
+        fault, peak = traced_peak(lambda: _fault(ds))
+        assert fault is None
+        assert peak <= 2 * ds.indices.nbytes
+
+    def test_write_holds_a_block_of_rows(self, walkthrough):
+        # 1.3 MiB, 0.45 bytes per text byte; 256-row blocks and a check
+        # with a row per entry took 4.6 MiB
+        text, ds, _ = walkthrough
+        _, peak = traced_peak(lambda: write_dataset(ds, Discard()))
+        assert peak <= 0.7 * len(text)
+
+    def test_sidecar_hit_copies_no_array(self, walkthrough):
+        # 0.9 MiB, 0.3 bytes per sidecar byte; arrays copied out of the
+        # sidecar's bytes took 6.2 MiB
+        _, want, data = walkthrough
+        ds, peak = traced_peak(lambda: read_parsed(data, KEY))
+        assert_same_arrays(ds, want)
+        assert peak <= 0.5 * len(data)
 
 
 class TestParseMemory:

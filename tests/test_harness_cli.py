@@ -990,10 +990,10 @@ class TestCli:
     @staticmethod
     def fit_scaled(tmp_path, exponent, solver):
         """Exit code of ``fit`` with ``solver`` on 60 x 4 random features
-        times 10**exponent and 6 random labels, and the largest |feature|
-        as the error message prints it."""
+        times 10**exponent (a number, or one per column) and 6 random
+        labels, and the largest |feature| as the error message prints it."""
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 4)) * 10.0**exponent
+        X = rng.normal(size=(60, 4)) * 10.0**np.asarray(exponent)
         Y = rng.integers(0, 2, size=(60, 6))
         data = tmp_path / "scaled.txt"
         with open(data, "w") as fh:
@@ -1019,6 +1019,19 @@ class TestCli:
             return
         assert captured.err == (
             "numerical failure: prox_grad took no step from its start: its line search "
+            f"failed at iteration 0; the largest |feature| is {top}, so rescale the features\n"
+        )
+        assert not os.path.exists(tmp_path / "out" / "model.txt")
+
+    def test_alt_min_on_mixed_column_scales_exits_1_without_warning(self, tmp_path, capsys):
+        # columns at 1e150 and 1e-150: every trial of the first line search
+        # overflows, which rejects it. The fit exits 1 with the start unsaved,
+        # and warns nothing on the way, as the suite turns a RuntimeWarning
+        # into an error
+        status, top = self.fit_scaled(tmp_path, (150, -150, 0, 0), "alt_min")
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: alt_min took no step from its start: its line search "
             f"failed at iteration 0; the largest |feature| is {top}, so rescale the features\n"
         )
         assert not os.path.exists(tmp_path / "out" / "model.txt")
@@ -1278,6 +1291,56 @@ class TestParsedSidecar:
         self.read(path)
         assert len(calls) == 1
         assert read_parsed(side.read_bytes(), key) is not None  # rewritten from the parse
+
+    @staticmethod
+    def npy(a, fortran_order=False):
+        """.npy bytes of the 1-d array ``a``, whose header may claim Fortran
+        order; a 1-d array's data are the same in either order."""
+        buf = io.BytesIO()
+        if a.dtype == object:
+            np.lib.format.write_array(buf, a, allow_pickle=True)
+            return buf.getvalue()
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": np.lib.format.dtype_to_descr(a.dtype),
+            "fortran_order": fortran_order, "shape": a.shape})
+        return buf.getvalue() + a.tobytes()
+
+    @pytest.mark.parametrize("forge", [
+        lambda arrays: b"".join(TestParsedSidecar.npy(a, fortran_order=i == 3)
+                                for i, a in enumerate(arrays)),
+        lambda arrays: b"".join(map(TestParsedSidecar.npy, (
+            *arrays[:3], arrays[3].astype(object), *arrays[4:]))),
+        lambda arrays: b"".join(map(TestParsedSidecar.npy, (
+            *arrays[:3], arrays[3].astype(">f8"), *arrays[4:]))),
+        lambda arrays: b"".join(map(TestParsedSidecar.npy, arrays))[:-8],
+        lambda arrays: b"".join(map(TestParsedSidecar.npy, arrays)) + bytes(8),
+    ], ids=["fortran_order", "object_dtype", "big_endian", "short_last_array",
+            "trailing_bytes"])
+    def test_forged_sidecar_with_its_own_digest_falls_back_to_the_text(
+            self, tmp_path, monkeypatch, forge):
+        # the views of a hit need each array stored as it is written: in C
+        # order, native int64 or float64, and filling the payload exactly
+        path = self.dataset(tmp_path)
+        want = self.read(path)
+        side = tmp_path / "train.txt.parsed"
+        good = side.read_bytes()
+        arrays = [np.array([want.n, want.d, want.L]), want.indptr, want.indices, want.values,
+                  want.label_indptr, want.label_indices]
+        with open(path) as fh:  # the codec a dataset file is read in
+            key = text_key(path.read_bytes(), fh.encoding)
+
+        def signed(payload):
+            digest = hashlib.sha256(payload).hexdigest()
+            return f"nondecomp-parsed 1 {key} {digest}\n".encode() + payload
+
+        # the forgery unchanged reads back; only what ``forge`` changes fails
+        assert read_parsed(signed(b"".join(map(self.npy, arrays))), key) is not None
+        side.write_bytes(signed(forge(arrays)))
+        calls = self.count_parses(monkeypatch)
+        got = self.read(path)
+        assert len(calls) == 1
+        assert got.values.tobytes() == want.values.tobytes()
+        assert side.read_bytes() == good  # rewritten, byte for byte
 
     def test_sidecar_bytes_are_deterministic(self, tmp_path):
         path = self.dataset(tmp_path)
