@@ -13,8 +13,11 @@ the checkout this script is in), BLAS at one thread and
 NONDECOMP_THREADS = 1, except where a command lists 2.
 
 The manifest holds, per pass, each command's exit status and the SHA-256
-of its stdout and stderr, and the SHA-256 of every file under DIR after the
-pass, sidecars included. The paths of ``src/`` and of the work directory
+of its stdout and stderr, and the SHA-256 of every output file under DIR
+after the pass. The dataset sidecars (``*.parsed``) are kept apart: their
+SHA-256 in a map of their own, and the list of those the pass wrote. So a
+change of the sidecar layout shows in that map alone, and a warm pass,
+which parses no dataset, lists none written. The paths of ``src/`` and of the work directory
 are written as <src> and <work> in the captured streams before hashing, so
 two checkouts run from two directories compare by one diff of their
 manifests:
@@ -84,6 +87,8 @@ COMMANDS = [
      "--out_dir=o/score_n6", 1),
 ]
 
+SIDECAR_SUFFIX = ".parsed"
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -126,8 +131,9 @@ def run_pass(work, src, env):
 
 
 def file_digests(work):
-    """SHA-256 of every file under ``work`` but the configs, by relative path."""
-    digests = {}
+    """SHA-256 of every file under ``work`` but the configs, by relative
+    path: the outputs, and the sidecars with each one's file identity."""
+    outputs, sidecars, identities = {}, {}, {}
     for top, dirs, files in os.walk(work):
         dirs.sort()
         for name in sorted(files):
@@ -136,8 +142,15 @@ def file_digests(work):
             if rel.split(os.sep)[0] == "configs":
                 continue
             with open(path, "rb") as fh:
-                digests[rel] = sha256(fh.read())
-    return digests
+                digest = sha256(fh.read())
+            if name.endswith(SIDECAR_SUFFIX):
+                sidecars[rel] = digest
+                # a sidecar is replaced through a new file, so a rewrite changes these
+                st = os.stat(path)
+                identities[rel] = (st.st_ino, st.st_mtime_ns)
+            else:
+                outputs[rel] = digest
+    return outputs, sidecars, identities
 
 
 def main(argv=None):
@@ -153,9 +166,16 @@ def main(argv=None):
     shutil.copytree(os.path.join(checkout, "configs"), os.path.join(work, "configs"))
     env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
     env.pop("PYTHONWARNINGS", None)  # warnings print as they do by default
-    manifest = {}
+    manifest, before = {}, {}
     for name in ("cold", "warm"):
-        manifest[name] = {"commands": run_pass(work, src, env), "files": file_digests(work)}
+        commands = run_pass(work, src, env)
+        outputs, sidecars, identities = file_digests(work)
+        manifest[name] = {
+            "commands": commands, "files": outputs, "sidecars": sidecars,
+            "sidecars_written": sorted(rel for rel, ident in identities.items()
+                                       if before.get(rel) != ident),
+        }
+        before = identities
     with open(args.out, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,17 +1,14 @@
 """File formats: sparse multi-label datasets, model persistence, result
 tables, and SVG plots.
 
-A dataset is held as CSR arrays (``SparseDataset``). ``parse_dataset``
-reads a file line by line, checking each line as it goes, and names the
-first bad line of a malformed one. ``write_dataset`` refuses a dataset
-whose text ``parse_dataset`` would reject, so parse(write(ds)) always
-gives ds back. ``write_parsed`` and ``read_parsed`` keep a parsed
-dataset's arrays in a sidecar file keyed by the SHA-256 of its text, so a
-later read of the same bytes skips the parse; the arrays it reads back are
-read-only views of the sidecar's bytes. Each array is held once: the
-constructors fill the CSR arrays straight from their input, and the
-checks mark row starts in one byte per entry instead of naming each
-entry's row.
+A dataset is held as CSR arrays (``SparseDataset``), checked where they are
+built: every constructor raises a ValueError naming the first row at fault
+unless the arrays are ones that ``parse_dataset`` could return, so
+parse(write(ds)) always gives ds back. ``parse_dataset`` reads a file line
+by line and names the first bad line of a malformed one. ``write_parsed``
+and ``read_parsed`` keep a parsed dataset's arrays in a sidecar file keyed
+by the SHA-256 of its text, so a later read of the same bytes skips the
+parse; the arrays it reads back are read-only views of the sidecar's bytes.
 
 Everything written here is byte-deterministic for fixed inputs: floats are
 formatted with round-tripping precision and no timestamps or environment
@@ -23,12 +20,11 @@ from __future__ import annotations
 import codecs
 import csv
 import hashlib
-import io
 import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 
 import numpy as np
@@ -73,12 +69,13 @@ class SparseDataset:
     Row i's features are ``indices[indptr[i]:indptr[i + 1]]`` with the
     ``values`` at the same positions, and its positive labels are
     ``label_indices[label_indptr[i]:label_indptr[i + 1]]``; labels a row
-    does not list are negatives. Each row's indices are kept sorted, stably,
-    so a repeated feature index stays for ``write_dataset`` to reject, and
-    its label indices are unique.
+    does not list are negatives. Each row's indices are kept sorted and its
+    label indices unique.
 
     ``SparseDataset(n, d, L, features, labels)`` takes per-row lists of
     ``(index, value)`` pairs and label sets, ``from_arrays`` the arrays.
+    Both raise a ValueError naming the first row at fault unless the
+    dataset is one that parse_dataset could return.
     """
 
     def __init__(self, n, d, L, features, labels):
@@ -107,6 +104,15 @@ class SparseDataset:
         return ds
 
     def _set(self, n, d, L, indptr, indices, values, label_indptr, label_indices):
+        """Hold the arrays, each row sorted, once they are checked: the row
+        pointers first, so that no check indexes past an array's end."""
+        if not _dims_in_range(n, d, L):
+            raise ValueError(f"dimensions n = {n}, d = {d}, L = {L} out of range")
+        arrays = (indptr, indices, values, label_indptr, label_indices)
+        if any(a.ndim != 1 for a in arrays) or values.size != indices.size:
+            raise ValueError("CSR arrays must be one-dimensional, with a value per feature index")
+        _raise_first((_pointer_fault(indptr, n, indices.size, "feature"),
+                      _pointer_fault(label_indptr, n, label_indices.size, "label")))
         order = _row_order(indptr, indices)
         if order is not None:
             indices, values = indices[order], values[order]
@@ -117,6 +123,7 @@ class SparseDataset:
             fresh = np.r_[True, (rows[1:] > rows[:-1]) | (label_indices[1:] > label_indices[:-1])]
             label_indices = label_indices[fresh]
             label_indptr = _indptr(np.bincount(rows[fresh], minlength=label_indptr.size - 1))
+        _raise_first(_fault(d, L, indptr, indices, values, label_indptr, label_indices))
         self.n, self.d, self.L = n, d, L
         self.indptr, self.indices, self.values = indptr, indices, values
         self.label_indptr, self.label_indices = label_indptr, label_indices
@@ -130,6 +137,11 @@ class SparseDataset:
         Y = np.zeros((self.n, self.L), dtype=np.int8)
         Y[_rows(self.label_indptr), self.label_indices] = 1
         return Y
+
+
+def _dims_in_range(n, d, L):
+    """Whether n, d and L are a dataset's sizes; indices are held as int64."""
+    return n >= 0 and d >= 1 and L >= 1 and max(n, d, L) < 2**63
 
 
 def _indptr(counts):
@@ -159,31 +171,51 @@ def _row_order(indptr, indices):
     return np.lexsort((indices, _rows(indptr)))
 
 
-def _fault(ds):
-    """Why parse_dataset would reject the text of ``ds``, naming the first
-    row at fault, or None when it would read ``ds`` back unchanged."""
-    counts = (ds.indptr.size - 1, ds.label_indptr.size - 1)
-    if counts != (ds.n, ds.n):
-        return f"{counts[0]} feature rows and {counts[1]} label rows, but n = {ds.n}"
-    j, v, k = ds.indices, ds.values, ds.label_indices
-    found = []
-    for indptr, bad, say in (
-        (ds.indptr, ~np.isfinite(v), lambda p: f"non-finite feature value {float(v[p])!r}"),
-        (ds.indptr, (j < 0) | (j >= ds.d),
-         lambda p: f"feature index {j[p]} out of range [0, {ds.d})"),
-        (ds.indptr, np.r_[False, ~_row_starts(ds.indptr, j.size)[1:] & (j[1:] == j[:-1])],
-         lambda p: f"duplicate feature index {j[p]}"),
-        (ds.label_indptr, (k < 0) | (k >= ds.L),
-         lambda p: f"label index {k[p]} out of range [0, {ds.L})"),
-    ):
-        if bad.any():
-            p = int(np.argmax(bad))
-            # the last row to start at or before p; empty rows start there too
-            found.append((int(np.searchsorted(indptr, p, "right")) - 1, say(p)))
-    if not found:
-        return None
-    row, reason = min(found, key=itemgetter(0))
-    return f"row {row}: {reason}"
+def _raise_first(faults):
+    """Raise the ValueError of the first row at fault among ``faults``,
+    (row, reason) pairs or None; of two at one row, the first listed."""
+    found = [fault for fault in faults if fault is not None]
+    if found:
+        row, reason = min(found, key=itemgetter(0))
+        raise ValueError(f"row {row}: {reason}")
+
+
+def _pointer_fault(indptr, n, size, what):
+    """The first row at which ``indptr`` are not the row pointers of n rows
+    over ``size`` entries, and why, or None. A fault is named where a text
+    would hold it: a row count other than n at the last row held, as
+    parse_dataset names the last line, and entries past the last row at n."""
+    if indptr.size != n + 1:
+        return max(indptr.size, 1) - 2, f"{indptr.size} {what} row pointers, not n + 1 = {n + 1}"
+    if indptr[0] != 0:
+        return 0, f"{what} entries start at {indptr[0]}, not 0"
+    bad = (indptr[1:] < indptr[:-1]) | (indptr[1:] > size)
+    if bad.any():
+        row = int(np.argmax(bad))
+        return row, f"{what} entries {indptr[row]} to {indptr[row + 1]} of the {size} stored"
+    if indptr[-1] != size:
+        return n, f"{size - indptr[-1]} {what} entries past the last row"
+
+
+def _fault(d, L, indptr, j, v, label_indptr, k):
+    """Per kind of entry that parse_dataset rejects, the first row holding
+    one and why, as (row, reason), or None; the row pointers must be
+    checked and each row sorted. One kind's mask is held at a time."""
+    yield _first(indptr, ~np.isfinite(v), lambda p: f"non-finite feature value {float(v[p])!r}")
+    yield _first(indptr, (j < 0) | (j >= d),
+                 lambda p: f"feature index {j[p]} out of range [0, {d})")
+    yield _first(indptr, np.r_[False, ~_row_starts(indptr, j.size)[1:] & (j[1:] == j[:-1])],
+                 lambda p: f"duplicate feature index {j[p]}")
+    yield _first(label_indptr, (k < 0) | (k >= L),
+                 lambda p: f"label index {k[p]} out of range [0, {L})")
+
+
+def _first(indptr, bad, say):
+    """The row of the first entry marked in ``bad``, and ``say`` of it, or None."""
+    if bad.any():
+        p = int(np.argmax(bad))
+        # the last row to start at or before p; empty rows start there too
+        return int(np.searchsorted(indptr, p, "right")) - 1, say(p)
 
 
 def _fail(line_no, message):
@@ -206,8 +238,8 @@ def parse_dataset(stream):
 
     Each line is checked as it is read, so a malformed text raises the
     DatasetFormatError naming its first bad line. Each line's feature
-    indices and values and its sorted unique labels are appended to flat
-    arrays, from which the CSR arrays are made once.
+    indices and values and its labels are appended to flat arrays, from
+    which the CSR arrays are made once, each row sorted by ``from_arrays``.
     """
     lines = stream.read().split("\n")
     if lines and lines[-1] == "":
@@ -221,18 +253,16 @@ def parse_dataset(stream):
         n, d, L = (int(tok) for tok in head)
     except ValueError:
         _fail(1, "header must contain three integers")
-    # indices are held as 64-bit integers
-    if n < 0 or d < 1 or L < 1 or max(n, d, L) >= 2**63:
+    if not _dims_in_range(n, d, L):
         _fail(1, "header dimensions out of range")
     if len(lines) - 1 != n:
         _fail(len(lines), f"expected {n} instance lines, found {len(lines) - 1}")
     # array.array keeps machine ints and floats, so the text's numbers are
     # never all held as Python objects at once
-    feat_counts, feat_idx, feat_val = [], array("q"), array("d")
-    label_counts, label_idx = [], array("q")
+    feat_ends, feat_idx, feat_val = [0], array("q"), array("d")
+    label_ends, label_idx = [0], array("q")
     for line_no, line in enumerate(lines[1:], start=2):
         label_field, _, feat_field = line.partition(" ")
-        labs = set()
         if label_field:
             for tok in label_field.split(","):
                 try:
@@ -241,12 +271,10 @@ def parse_dataset(stream):
                     _fail(line_no, f"bad label index {tok!r}")
                 if not 0 <= j < L:
                     _fail(line_no, f"label index {j} out of range [0, {L})")
-                labs.add(j)
-        label_counts.append(len(labs))
-        label_idx.extend(sorted(labs))
-        tokens = feat_field.split()
+                label_idx.append(j)
+        label_ends.append(len(label_idx))
         seen = set()
-        for tok in tokens:
+        for tok in feat_field.split():
             idx_s, _, val_s = tok.partition(":")
             try:
                 j = int(idx_s)
@@ -262,22 +290,13 @@ def parse_dataset(stream):
             seen.add(j)
             feat_idx.append(j)
             feat_val.append(v)
-        feat_counts.append(len(tokens))
-    return SparseDataset.from_arrays(
-        n, d, L, _indptr(feat_counts), feat_idx, feat_val, _indptr(label_counts), label_idx,
-    )
+        feat_ends.append(len(feat_idx))
+    return SparseDataset.from_arrays(n, d, L, feat_ends, feat_idx, feat_val, label_ends, label_idx)
 
 
 def write_dataset(dataset, stream):
-    """Inverse of parse_dataset: parse(write(ds)) reads ds back unchanged.
-
-    Raises ValueError naming the row when ``dataset`` holds what
-    parse_dataset rejects: a non-finite value, a feature or label index out
-    of range, a repeated feature index, or a row count other than n.
-    """
-    fault = _fault(dataset)
-    if fault is not None:
-        raise ValueError(f"cannot write dataset: {fault}")
+    """Inverse of parse_dataset: parse(write(ds)) reads ds back unchanged,
+    since a dataset is checked where it is built."""
     stream.write(f"{dataset.n} {dataset.d} {dataset.L}\n")
     indptr, label_indptr = dataset.indptr.tolist(), dataset.label_indptr.tolist()
     for start in range(0, dataset.n, _BLOCK_ROWS):
@@ -296,10 +315,13 @@ def write_dataset(dataset, stream):
 
 
 # A sidecar is one header line, "nondecomp-parsed <version> <key> <digest>",
-# with the SHA-256 of the payload as the digest, then the payload: n d L and
-# the CSR arrays, each as numpy writes an .npy file, in this order and dtype
-_PARSED_FORMAT = b"nondecomp-parsed 1"
-_PARSED_DTYPES = tuple(map(np.dtype, (np.int64, np.int64, np.int64, float, np.int64, np.int64)))
+# padded with spaces to a multiple of 8 bytes, then the payload, whose SHA-256
+# is the digest: n, d, L and the lengths of the five CSR arrays as eight
+# int64s, then the arrays' bytes, each array of the dtype listed for it; all
+# numbers are little-endian
+_PARSED_FORMAT = b"nondecomp-parsed 2"
+_PARSED_ARRAYS = (("indptr", "<i8"), ("indices", "<i8"), ("values", "<f8"),
+                  ("label_indptr", "<i8"), ("label_indices", "<i8"))
 
 
 def text_key(data, encoding):
@@ -308,68 +330,45 @@ def text_key(data, encoding):
     return f"{hashlib.sha256(data).hexdigest()}:{codecs.lookup(encoding).name}"
 
 
-def _parsed_head(key, payload):
-    digest = hashlib.sha256(payload).hexdigest()
-    return b" ".join((_PARSED_FORMAT, key.encode("ascii"), digest.encode("ascii")))
+def _parsed_head(key, digest):
+    line = b" ".join((_PARSED_FORMAT, key.encode("ascii"), digest.encode("ascii")))
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n"
 
 
 def write_parsed(dataset, key, stream):
     """Write the sidecar of ``dataset``, parsed from the text keyed
     ``key``, to the binary ``stream``; the bytes depend on nothing else."""
-    payload = io.BytesIO()
-    arrays = ([dataset.n, dataset.d, dataset.L], dataset.indptr, dataset.indices,
-              dataset.values, dataset.label_indptr, dataset.label_indices)
-    for a, dtype in zip(arrays, _PARSED_DTYPES):
-        np.lib.format.write_array(payload, np.asarray(a, dtype=dtype), version=(1, 0),
-                                   allow_pickle=False)
-    payload = payload.getvalue()
-    stream.write(_parsed_head(key, payload) + b"\n")
+    arrays = [np.ascontiguousarray(getattr(dataset, name), dtype)
+              for name, dtype in _PARSED_ARRAYS]
+    sizes = np.array([dataset.n, dataset.d, dataset.L, *(a.size for a in arrays)], "<i8")
+    payload = b"".join([sizes, *arrays])
+    stream.write(_parsed_head(key, hashlib.sha256(payload).hexdigest()))
     stream.write(payload)
 
 
 def read_parsed(data, key):
     """The dataset that the sidecar bytes ``data`` hold for the text keyed
     ``key``, or None unless they are a whole sidecar of this format and
-    version, for that key, whose payload matches its digest and holds
-    arrays that parse_dataset could have returned.
+    version, for that key, whose payload matches its digest and its stated
+    lengths exactly, and whose arrays ``SparseDataset.from_arrays`` takes.
 
-    The dataset's arrays are read-only views of ``data``, not copies. A
-    view starts wherever its .npy header ends, so it may be unaligned;
-    numpy copies where an operation needs aligned memory."""
+    The dataset's arrays are read-only views of ``data``, not copies, and
+    aligned where ``data`` is, as a bytes object is: the header line is
+    padded to a multiple of 8 bytes."""
     end = data.find(b"\n") + 1
-    if not end or data[:end - 1] != _parsed_head(key, memoryview(data)[end:]):
+    payload = memoryview(data)[end:]
+    if data[:end] != _parsed_head(key, hashlib.sha256(payload).hexdigest()) or len(payload) < 64:
         return None
-    stream = io.BytesIO(data)  # shares the bytes of ``data``; no copy
-    stream.seek(end)
-    arrays = []
+    n, d, L, *sizes = np.frombuffer(data, "<i8", 8, end).tolist()
+    if min(sizes) < 0 or len(payload) != 8 * (8 + sum(sizes)):
+        return None
+    offsets = accumulate((8 * size for size in sizes), initial=end + 64)
+    arrays = [np.frombuffer(data, dtype, size, offset)
+              for (_, dtype), size, offset in zip(_PARSED_ARRAYS, sizes, offsets)]
     try:
-        for dtype in _PARSED_DTYPES:
-            # each array's header, read without its data and so without unpickling
-            if np.lib.format.read_magic(stream) != (1, 0):
-                return None
-            shape, fortran, stored = np.lib.format.read_array_header_1_0(stream)
-            if stored != dtype or fortran or len(shape) != 1 or not 0 <= shape[0] <= len(data):
-                return None
-            arrays.append(np.frombuffer(data, dtype, shape[0], stream.tell()))
-            stream.seek(arrays[-1].nbytes, io.SEEK_CUR)
+        return SparseDataset.from_arrays(n, d, L, *arrays)
     except ValueError:
         return None
-    if stream.tell() != len(data) or arrays[0].size != 3:
-        return None
-    (n, d, L), indptr, indices, values, label_indptr, label_indices = arrays
-    if (n < 0 or d < 1 or L < 1 or values.size != indices.size
-            or not _points_into(indptr, indices.size)
-            or not _points_into(label_indptr, label_indices.size)):
-        return None
-    ds = SparseDataset.from_arrays(int(n), int(d), int(L), *arrays[1:])
-    return ds if _fault(ds) is None else None
-
-
-def _points_into(indptr, size):
-    """Whether ``indptr`` holds row pointers into ``size`` entries: from 0
-    to ``size``, never falling."""
-    return (indptr.size > 0 and indptr[0] == 0 and indptr[-1] == size
-            and bool(np.all(indptr[1:] >= indptr[:-1])))
 
 
 def mask_observations(Y, ratio, dist, seed, m=None):

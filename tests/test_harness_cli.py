@@ -21,7 +21,6 @@ from nondecomp.dataset_io import (
     SparseDataset,
     load_model,
     parse_dataset,
-    read_parsed,
     save_model,
     text_key,
     write_dataset,
@@ -1260,7 +1259,7 @@ class TestParsedSidecar:
     @pytest.mark.parametrize("damage", [
         lambda b: b[: len(b) // 2],
         lambda b: b[:-9] + bytes([b[-9] ^ 0x10]) + b[-8:],
-        lambda b: b.replace(b"nondecomp-parsed 1", b"nondecomp-parsed 9", 1),
+        lambda b: b.replace(b"nondecomp-parsed 2", b"nondecomp-parsed 9", 1),
         lambda b: b"not a sidecar",
     ], ids=["truncated", "corrupted", "wrong_version", "garbage"])
     def test_damaged_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
@@ -1275,67 +1274,51 @@ class TestParsedSidecar:
         assert got.values.tobytes() == parse_dataset(open(path)).values.tobytes()
         assert side.read_bytes() == good  # rewritten, byte for byte
 
-    def test_pickled_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch):
-        # a payload of object arrays with a valid digest is never unpickled
-        path = self.dataset(tmp_path)
-        side = tmp_path / "train.txt.parsed"
-        buf = io.BytesIO()
-        for a in (np.array([40, 5, 8]), *[np.array([object()], dtype=object)] * 5):
-            np.lib.format.write_array(buf, a, allow_pickle=True)
-        payload = buf.getvalue()
-        with open(path) as fh:  # the codec a dataset file is read in
-            key = text_key(path.read_bytes(), fh.encoding)
-        digest = hashlib.sha256(payload).hexdigest()
-        side.write_bytes(f"nondecomp-parsed 1 {key} {digest}\n".encode() + payload)
-        calls = self.count_parses(monkeypatch)
-        self.read(path)
-        assert len(calls) == 1
-        assert read_parsed(side.read_bytes(), key) is not None  # rewritten from the parse
-
     @staticmethod
-    def npy(a, fortran_order=False):
-        """.npy bytes of the 1-d array ``a``, whose header may claim Fortran
-        order; a 1-d array's data are the same in either order."""
-        buf = io.BytesIO()
-        if a.dtype == object:
-            np.lib.format.write_array(buf, a, allow_pickle=True)
-            return buf.getvalue()
-        np.lib.format.write_array_header_1_0(buf, {
-            "descr": np.lib.format.dtype_to_descr(a.dtype),
-            "fortran_order": fortran_order, "shape": a.shape})
-        return buf.getvalue() + a.tobytes()
+    def key(path):
+        with open(path) as fh:  # the codec a dataset file is read in
+            return text_key(path.read_bytes(), fh.encoding)
 
-    @pytest.mark.parametrize("forge", [
-        lambda arrays: b"".join(TestParsedSidecar.npy(a, fortran_order=i == 3)
-                                for i, a in enumerate(arrays)),
-        lambda arrays: b"".join(map(TestParsedSidecar.npy, (
-            *arrays[:3], arrays[3].astype(object), *arrays[4:]))),
-        lambda arrays: b"".join(map(TestParsedSidecar.npy, (
-            *arrays[:3], arrays[3].astype(">f8"), *arrays[4:]))),
-        lambda arrays: b"".join(map(TestParsedSidecar.npy, arrays))[:-8],
-        lambda arrays: b"".join(map(TestParsedSidecar.npy, arrays)) + bytes(8),
-    ], ids=["fortran_order", "object_dtype", "big_endian", "short_last_array",
-            "trailing_bytes"])
-    def test_forged_sidecar_with_its_own_digest_falls_back_to_the_text(
-            self, tmp_path, monkeypatch, forge):
-        # the views of a hit need each array stored as it is written: in C
-        # order, native int64 or float64, and filling the payload exactly
+    def test_version_1_sidecar_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch):
+        # the first layout: n d L, then each array as an .npy record
         path = self.dataset(tmp_path)
         want = self.read(path)
         side = tmp_path / "train.txt.parsed"
         good = side.read_bytes()
-        arrays = [np.array([want.n, want.d, want.L]), want.indptr, want.indices, want.values,
-                  want.label_indptr, want.label_indices]
-        with open(path) as fh:  # the codec a dataset file is read in
-            key = text_key(path.read_bytes(), fh.encoding)
+        buf = io.BytesIO()
+        for a in (np.array([want.n, want.d, want.L]), want.indptr, want.indices, want.values,
+                  want.label_indptr, want.label_indices):
+            np.lib.format.write_array(buf, a, version=(1, 0), allow_pickle=False)
+        payload = buf.getvalue()
+        digest = hashlib.sha256(payload).hexdigest()
+        side.write_bytes(f"nondecomp-parsed 1 {self.key(path)} {digest}\n".encode() + payload)
+        calls = self.count_parses(monkeypatch)
+        self.read(path)
+        assert len(calls) == 1
+        assert side.read_bytes() == good
+
+    @pytest.mark.parametrize("forge", [
+        lambda payload: payload[:-8],
+        lambda payload: payload + bytes(8),
+    ], ids=["short_last_array", "trailing_bytes"])
+    def test_forged_sidecar_with_its_own_digest_falls_back_to_the_text(
+            self, tmp_path, monkeypatch, forge):
+        # the views of a hit need the payload to hold the arrays its lengths
+        # state, exactly
+        path = self.dataset(tmp_path)
+        want = self.read(path)
+        side = tmp_path / "train.txt.parsed"
+        good = side.read_bytes()
+        key = self.key(path)
 
         def signed(payload):
-            digest = hashlib.sha256(payload).hexdigest()
-            return f"nondecomp-parsed 1 {key} {digest}\n".encode() + payload
+            line = f"nondecomp-parsed 2 {key} {hashlib.sha256(payload).hexdigest()}".encode()
+            return line + b" " * (-(len(line) + 1) % 8) + b"\n" + payload
 
-        # the forgery unchanged reads back; only what ``forge`` changes fails
-        assert read_parsed(signed(b"".join(map(self.npy, arrays))), key) is not None
-        side.write_bytes(signed(forge(arrays)))
+        # the header signs the payload as documented; only what ``forge`` changes fails
+        payload = good[good.index(b"\n") + 1:]
+        assert signed(payload) == good
+        side.write_bytes(signed(forge(payload)))
         calls = self.count_parses(monkeypatch)
         got = self.read(path)
         assert len(calls) == 1
